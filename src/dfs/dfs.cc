@@ -164,6 +164,10 @@ Status Dfs::Write(const std::string& path, std::string_view data,
     std::vector<uint32_t> chunk_sums;
   };
   const int64_t size = static_cast<int64_t>(data.size());
+  // A payload that is already an exact chain of complete BGZF frames (a
+  // BAM part) cannot shrink under a second deflate, so its blocks are
+  // stored verbatim.
+  const bool deflate = options_.compress_parts && !BgzfListBlocks(data).ok();
   int64_t n_blocks = (size + options_.block_size - 1) / options_.block_size;
   if (n_blocks == 0) n_blocks = 1;  // empty file still has a (empty) block
   std::vector<PendingBlock> pending(static_cast<size_t>(n_blocks));
@@ -180,7 +184,7 @@ Status Dfs::Write(const std::string& path, std::string_view data,
     }
     pb.bytes =
         data.substr(static_cast<size_t>(off), static_cast<size_t>(len));
-    if (options_.compress_parts && len > 0) {
+    if (deflate && len > 0) {
       BgzfWriter writer(&pb.stored, options_.compress_level);
       GESALL_RETURN_NOT_OK(writer.Append(pb.bytes));
       GESALL_RETURN_NOT_OK(writer.Flush());

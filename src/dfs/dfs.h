@@ -64,6 +64,9 @@ struct DfsOptions {
   /// block at a time, so a small range never inflates a whole DFS block.
   /// Replication, per-chunk CRC32C sums, corruption quarantine, and
   /// durable payload files all operate on the stored (compressed) bytes.
+  /// A payload that is already an exact chain of complete BGZF frames
+  /// (a BAM part) is stored verbatim instead: deflate cannot shrink it,
+  /// so a second pass would only burn codec cpu on the stored fallback.
   bool compress_parts = false;
   /// zlib level for compress_parts (-1 = zlib default, else 0..9).
   int compress_level = -1;

@@ -653,20 +653,118 @@ class HaplotypeCallerMapper : public Mapper {
   HaplotypeCallerOptions options_;
 };
 
-// Serializes one reduce partition's record values into a BAM file body
-// (the write side every round shares, barriered or pipelined).
-Status BuildBamPartition(const SamHeader& header,
-                         const std::vector<std::string>& values,
-                         std::string* bam) {
-  BamWriter writer(bam);
-  GESALL_RETURN_NOT_OK(writer.WriteHeader(header));
-  for (const auto& v : values) {
-    size_t offset = 0;
-    GESALL_ASSIGN_OR_RETURN(SamRecord rec, DecodeBamRecord(v, &offset));
-    GESALL_RETURN_NOT_OK(writer.WriteRecord(rec));
+// The write side every shuffling round shares, barriered or pipelined:
+// one round's reduce partitions become BAM parts under `dir`. Each
+// partition is encoded on the reduce worker that produced it (from
+// JobConfig::on_partition_output), so encoding is reduce-task time, not
+// driver time; the sort round also builds its linear index sidecar there
+// ("sorting and building the BAM file index in the reducer", §4.1).
+//
+// Barriered rounds park the encoded parts and the driver commits them
+// after the job in partition order, so DFS block ids (and the seeded
+// block-corruption schedules keyed on them) never depend on which
+// reducer finished first. Pipelined rounds commit each part from its
+// worker and then fire that partition's readiness signal.
+class PartitionSink {
+ public:
+  // Returns a sink armed as cfg->on_partition_output. Without `ready`
+  // signals the encoded parts wait for Commit(); with them, each part is
+  // written from its worker and ready[r] fires after — on failure too,
+  // so gated splits are admitted and the failure surfaces via status().
+  static std::shared_ptr<PartitionSink> Arm(
+      JobConfig* cfg, Dfs* dfs, std::string dir, SamHeader header,
+      bool indexed = false,
+      std::vector<std::shared_ptr<ReadySignal>> ready = {}) {
+    std::shared_ptr<PartitionSink> sink(new PartitionSink(
+        dfs, std::move(dir), std::move(header), indexed,
+        static_cast<size_t>(std::max(0, cfg->num_reducers))));
+    cfg->on_partition_output = [sink, ready](
+                                   int r,
+                                   const std::vector<std::string>& values,
+                                   const JobCounters&) {
+      const size_t i = static_cast<size_t>(r);
+      Status s = sink->Encode(i, values);
+      if (!ready.empty()) {
+        if (s.ok()) s = sink->Put(i, ".bam", sink->parts_[i].bam);
+        if (s.ok() && sink->indexed_) {
+          s = sink->Put(i, ".bai", sink->parts_[i].index);
+        }
+        sink->parts_[i] = Part{};
+      }
+      if (!s.ok()) {
+        std::lock_guard<std::mutex> lock(sink->mu_);
+        if (sink->error_.ok()) sink->error_ = s;
+      }
+      if (!ready.empty()) ready[i]->Notify();
+    };
+    return sink;
   }
-  return writer.Finish();
-}
+
+  // Writes the parked parts in partition order, every BAM before any
+  // index sidecar.
+  Status Commit() {
+    GESALL_RETURN_NOT_OK(status());
+    for (size_t i = 0; i < parts_.size(); ++i) {
+      GESALL_RETURN_NOT_OK(Put(i, ".bam", parts_[i].bam));
+    }
+    for (size_t i = 0; indexed_ && i < parts_.size(); ++i) {
+      GESALL_RETURN_NOT_OK(Put(i, ".bai", parts_[i].index));
+    }
+    return Status::OK();
+  }
+
+  // First encode or write failure seen on a worker.
+  Status status() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return error_;
+  }
+
+ private:
+  struct Part {
+    std::string bam;
+    std::string index;  // serialized LinearBamIndex; empty unless indexed
+  };
+
+  PartitionSink(Dfs* dfs, std::string dir, SamHeader header, bool indexed,
+                size_t partitions)
+      : dfs_(dfs),
+        dir_(std::move(dir)),
+        header_(std::move(header)),
+        indexed_(indexed),
+        parts_(partitions) {}
+
+  Status Encode(size_t i, const std::vector<std::string>& values) {
+    Part& part = parts_[i];
+    BamWriter writer(&part.bam);
+    GESALL_RETURN_NOT_OK(writer.WriteHeader(header_));
+    for (const auto& v : values) {
+      size_t offset = 0;
+      GESALL_ASSIGN_OR_RETURN(SamRecord rec, DecodeBamRecord(v, &offset));
+      GESALL_RETURN_NOT_OK(writer.WriteRecord(rec));
+    }
+    GESALL_RETURN_NOT_OK(writer.Finish());
+    if (indexed_) {
+      GESALL_ASSIGN_OR_RETURN(LinearBamIndex index,
+                              LinearBamIndex::Build(part.bam));
+      part.index = index.Serialize();
+    }
+    return Status::OK();
+  }
+
+  Status Put(size_t i, const char* suffix, const std::string& bytes) {
+    LogicalPartitionPlacementPolicy policy;
+    return dfs_->Write(PartPath(dir_, static_cast<int>(i)) + suffix, bytes,
+                       &policy);
+  }
+
+  Dfs* dfs_;
+  std::string dir_;
+  SamHeader header_;
+  bool indexed_;
+  std::vector<Part> parts_;  // one slot per partition, each written once
+  mutable std::mutex mu_;
+  Status error_;
+};
 
 }  // namespace
 
@@ -904,6 +1002,7 @@ Status GesallPipeline::RunRound2Cleaning() {
       return std::make_unique<FixMateCombiner>();
     };
   }
+  auto sink = PartitionSink::Arm(&job_cfg, dfs_, cleaned_dir_, header_);
   MapReduceJob job(job_cfg);
   const SamHeader* header = &header_;
   ReadGroup rg = config_.read_group;
@@ -913,14 +1012,7 @@ Status GesallPipeline::RunRound2Cleaning() {
           splits,
           [header, rg] { return std::make_unique<CleaningMapper>(header, rg); },
           [] { return std::make_unique<FixMateReducer>(); }));
-
-  std::vector<std::string> outputs;
-  for (auto& values : result.reducer_outputs) {
-    std::string bam;
-    GESALL_RETURN_NOT_OK(BuildBamPartition(header_, values, &bam));
-    outputs.push_back(std::move(bam));
-  }
-  GESALL_RETURN_NOT_OK(WritePartitions(cleaned_dir_, outputs));
+  GESALL_RETURN_NOT_OK(sink->Commit());
   stats_.push_back({"round2_cleaning", clock.ElapsedSeconds(),
                     std::move(result.counters), std::move(result.tasks)});
   GESALL_RETURN_NOT_OK(SealRound(kRoundCleaning, "round2_cleaning"));
@@ -928,6 +1020,7 @@ Status GesallPipeline::RunRound2Cleaning() {
 }
 
 Result<std::string> GesallPipeline::BuildBloomFilter() {
+  Stopwatch clock;
   std::vector<InputSplit> splits;
   for (const auto& path : ListBams(*dfs_, cleaned_dir_)) {
     InputSplit s;
@@ -949,7 +1042,7 @@ Result<std::string> GesallPipeline::BuildBloomFilter() {
       GESALL_RETURN_NOT_OK(merged.Union(f));
     }
   }
-  stats_.push_back({"round3_bloom_preround", 0.0,
+  stats_.push_back({"round3_bloom_preround", clock.ElapsedSeconds(),
                     std::move(result.counters), std::move(result.tasks)});
   return merged.Serialize();
 }
@@ -959,7 +1052,6 @@ Status GesallPipeline::RunRound3MarkDuplicates() {
                                       ? "round3_markdup_opt"
                                       : "round3_markdup_reg";
   if (SkipIfSealed(kRoundMarkDuplicates, round3_name)) return MaybeTick();
-  Stopwatch clock;
   std::unique_ptr<BloomFilter> bloom;
   if (config_.markdup_use_bloom) {
     GESALL_ASSIGN_OR_RETURN(std::string serialized, BuildBloomFilter());
@@ -967,6 +1059,8 @@ Status GesallPipeline::RunRound3MarkDuplicates() {
                             BloomFilter::Deserialize(serialized));
     bloom = std::make_unique<BloomFilter>(std::move(f));
   }
+  // The pre-round records its own wall, so the round walls tile RunAll.
+  Stopwatch clock;
 
   // Logical partition inputs: whole cleaned files (map benefits from the
   // read-name grouping of the previous round, Appendix A.2).
@@ -986,6 +1080,7 @@ Status GesallPipeline::RunRound3MarkDuplicates() {
       return std::make_unique<MarkDupCombiner>();
     };
   }
+  auto sink = PartitionSink::Arm(&job_cfg, dfs_, dedup_dir_, header_);
   MapReduceJob job(job_cfg);
   const BloomFilter* bloom_ptr = bloom.get();
   GESALL_ASSIGN_OR_RETURN(
@@ -994,14 +1089,7 @@ Status GesallPipeline::RunRound3MarkDuplicates() {
           splits,
           [bloom_ptr] { return std::make_unique<MarkDupMapper>(bloom_ptr); },
           [] { return std::make_unique<MarkDupReducer>(); }));
-
-  std::vector<std::string> outputs;
-  for (auto& values : result.reducer_outputs) {
-    std::string bam;
-    GESALL_RETURN_NOT_OK(BuildBamPartition(header_, values, &bam));
-    outputs.push_back(std::move(bam));
-  }
-  GESALL_RETURN_NOT_OK(WritePartitions(dedup_dir_, outputs));
+  GESALL_RETURN_NOT_OK(sink->Commit());
   stats_.push_back({round3_name, clock.ElapsedSeconds(),
                     std::move(result.counters), std::move(result.tasks)});
   GESALL_RETURN_NOT_OK(SealRound(kRoundMarkDuplicates, round3_name));
@@ -1087,33 +1175,20 @@ Status GesallPipeline::RunRound4Sort() {
   }
   boundaries.push_back("\x7f");  // unmapped records partition
   RangePartitioner partitioner(boundaries);
-  MapReduceJob job(MakeJobConfig(C + 1));
+  JobConfig job_cfg = MakeJobConfig(C + 1);
+  SamHeader sorted_header = header_;
+  sorted_header.sort_order = "coordinate";
+  // The linear index sidecar per sorted partition lets the
+  // overlapping-segment Round 5 read only the relevant chunk ranges.
+  auto sink = PartitionSink::Arm(&job_cfg, dfs_, sorted_dir_, sorted_header,
+                                 /*indexed=*/true);
+  MapReduceJob job(job_cfg);
   GESALL_ASSIGN_OR_RETURN(
       JobResult result,
       job.Run(
           splits, [] { return std::make_unique<SortMapper>(); },
           [] { return std::make_unique<IdentityReducer>(); }, &partitioner));
-
-  SamHeader sorted_header = header_;
-  sorted_header.sort_order = "coordinate";
-  std::vector<std::string> outputs;
-  for (auto& values : result.reducer_outputs) {
-    std::string bam;
-    GESALL_RETURN_NOT_OK(BuildBamPartition(sorted_header, values, &bam));
-    outputs.push_back(std::move(bam));
-  }
-  GESALL_RETURN_NOT_OK(WritePartitions(sorted_dir_, outputs));
-  // "Sorting and building the BAM file index in the reducer" (§4.1):
-  // a linear index sidecar per sorted partition, used by the
-  // overlapping-segment Round 5 to read only the relevant chunk ranges.
-  LogicalPartitionPlacementPolicy policy;
-  for (size_t i = 0; i < outputs.size(); ++i) {
-    GESALL_ASSIGN_OR_RETURN(LinearBamIndex index,
-                            LinearBamIndex::Build(outputs[i]));
-    GESALL_RETURN_NOT_OK(
-        dfs_->Write(PartPath(sorted_dir_, static_cast<int>(i)) + ".bai",
-                    index.Serialize(), &policy));
-  }
+  GESALL_RETURN_NOT_OK(sink->Commit());
   stats_.push_back({"round4_sort", clock.ElapsedSeconds(),
                     std::move(result.counters), std::move(result.tasks)});
   GESALL_RETURN_NOT_OK(SealRound(kRoundSort, "round4_sort"));
@@ -1360,21 +1435,6 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
     ev_sorted.push_back(std::make_shared<ReadySignal>());
   }
 
-  // Partition-output callbacks run on executor workers and cannot
-  // return a status; the first write failure is parked here and
-  // re-checked after every job completes.
-  auto cb_mu = std::make_shared<std::mutex>();
-  auto cb_error = std::make_shared<Status>(Status::OK());
-  auto record_cb = [cb_mu, cb_error](const Status& s) {
-    if (s.ok()) return;
-    std::lock_guard<std::mutex> lock(*cb_mu);
-    if (cb_error->ok()) *cb_error = s;
-  };
-  auto first_cb_error = [cb_mu, cb_error]() -> Status {
-    std::lock_guard<std::mutex> lock(*cb_mu);
-    return *cb_error;
-  };
-
   std::optional<MapReduceJob::Handle> h2, h3a, h3, h4, h5;
   // Error path: release every gate (so gated splits are admitted and
   // their jobs can finish failing) and drain every outstanding handle —
@@ -1471,24 +1531,11 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
       return std::make_unique<FixMateCombiner>();
     };
   }
-  {
-    SamHeader header_copy = header_;
-    auto evs = ev_cleaned;
-    std::string out_dir = cleaned_dir_;
-    cfg2.on_partition_output = [dfs, header_copy, evs, record_cb, out_dir](
-                                   int r,
-                                   const std::vector<std::string>& values,
-                                   const JobCounters&) {
-      std::string bam;
-      Status s = BuildBamPartition(header_copy, values, &bam);
-      if (s.ok()) {
-        LogicalPartitionPlacementPolicy policy;
-        s = dfs->Write(PartPath(out_dir, r) + ".bam", bam, &policy);
-      }
-      record_cb(s);
-      evs[static_cast<size_t>(r)]->Notify();
-    };
-  }
+  // Partition-output callbacks run on executor workers and cannot
+  // return a status; each sink parks its first failure, re-checked after
+  // its job completes.
+  auto sink2 = PartitionSink::Arm(&cfg2, dfs, cleaned_dir_, header_,
+                                  /*indexed=*/false, ev_cleaned);
   MapReduceJob job2(cfg2);
   const SamHeader* header = &header_;
   ReadGroup rg = config_.read_group;
@@ -1542,11 +1589,8 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
         {round2_name, t2_start, wall.ElapsedSeconds()});
   }
   {
-    Status s = first_cb_error();
-    if (!s.ok()) return fail(s);
-  }
-  {
-    Status s = MaybeTick();
+    Status s = sink2->status();
+    if (s.ok()) s = MaybeTick();
     if (!s.ok()) return fail(s);
   }
 
@@ -1593,24 +1637,8 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
       return std::make_unique<MarkDupCombiner>();
     };
   }
-  {
-    SamHeader header_copy = header_;
-    auto evs = ev_dedup;
-    std::string out_dir = dedup_dir_;
-    cfg3.on_partition_output = [dfs, header_copy, evs, record_cb, out_dir](
-                                   int r,
-                                   const std::vector<std::string>& values,
-                                   const JobCounters&) {
-      std::string bam;
-      Status s = BuildBamPartition(header_copy, values, &bam);
-      if (s.ok()) {
-        LogicalPartitionPlacementPolicy policy;
-        s = dfs->Write(PartPath(out_dir, r) + ".bam", bam, &policy);
-      }
-      record_cb(s);
-      evs[static_cast<size_t>(r)]->Notify();
-    };
-  }
+  auto sink3 = PartitionSink::Arm(&cfg3, dfs, dedup_dir_, header_,
+                                  /*indexed=*/false, ev_dedup);
   MapReduceJob job3(cfg3);
   const BloomFilter* bloom_ptr = bloom.get();
   h3 = job3.Start(
@@ -1633,34 +1661,10 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
   JobConfig cfg4 = MakeJobConfig(C + 1);
   cfg4.executor = executor;
   cfg4.throttle = throttle;
-  {
-    auto evs = ev_sorted;
-    std::string out_dir = sorted_dir_;
-    cfg4.on_partition_output = [dfs, sorted_header, evs, record_cb,
-                                out_dir](
-                                   int c,
-                                   const std::vector<std::string>& values,
-                                   const JobCounters&) {
-      std::string bam;
-      Status s = BuildBamPartition(sorted_header, values, &bam);
-      if (s.ok()) {
-        LogicalPartitionPlacementPolicy policy;
-        s = dfs->Write(PartPath(out_dir, c) + ".bam", bam, &policy);
-        if (s.ok()) {
-          // "Sorting and building the BAM file index in the reducer"
-          // (§4.1): the linear index sidecar must be on DFS before the
-          // chromosome's HC split is released.
-          Result<LinearBamIndex> index = LinearBamIndex::Build(bam);
-          s = index.ok()
-                  ? dfs->Write(PartPath(out_dir, c) + ".bai",
-                               index.ValueOrDie().Serialize(), &policy)
-                  : index.status();
-        }
-      }
-      record_cb(s);
-      evs[static_cast<size_t>(c)]->Notify();
-    };
-  }
+  // The .bai sidecar is on DFS before the chromosome's HC split is
+  // released.
+  auto sink4 = PartitionSink::Arm(&cfg4, dfs, sorted_dir_, sorted_header,
+                                  /*indexed=*/true, ev_sorted);
   MapReduceJob job4(cfg4);
   double t4_start = 0;
   auto start_round4 = [&](const std::string& input_dir, bool gated) {
@@ -1783,11 +1787,8 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
                                  wall.ElapsedSeconds()});
   }
   {
-    Status s = first_cb_error();
-    if (!s.ok()) return fail(s);
-  }
-  {
-    Status s = MaybeTick();
+    Status s = sink3->status();
+    if (s.ok()) s = MaybeTick();
     if (!s.ok()) return fail(s);
   }
 
@@ -1822,11 +1823,8 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
         {"round4_sort", t4_start, wall.ElapsedSeconds()});
   }
   {
-    Status s = first_cb_error();
-    if (!s.ok()) return fail(s);
-  }
-  {
-    Status s = MaybeTick();
+    Status s = sink4->status();
+    if (s.ok()) s = MaybeTick();
     if (!s.ok()) return fail(s);
   }
 
@@ -1855,10 +1853,6 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
          std::move(result.tasks)});
     execution_.rounds.push_back({stats_.back().name, t5_start,
                                  wall.ElapsedSeconds()});
-  }
-  {
-    Status s = first_cb_error();
-    if (!s.ok()) return fail(s);
   }
   GESALL_RETURN_NOT_OK(MaybeTick());
   return variants;

@@ -899,8 +899,15 @@ void RunReduceTask(const std::shared_ptr<JobState>& s, int r) {
   if (stats.speculative_won) slot.counters.Add("speculative_wins", 1);
   if (slot.status.ok() && cfg.on_partition_output) {
     // Per-partition readiness edge: downstream rounds may start on this
-    // partition now, while sibling reduces are still running.
+    // partition now, while sibling reduces are still running. What the
+    // callback does with the partition (encoding it, writing it) is the
+    // reduce task's own work, so the task record closes after it.
+    Stopwatch output_clock;
     cfg.on_partition_output(r, slot.values, slot.counters);
+    slot.counters.Add(
+        "partition_output_micros",
+        static_cast<int64_t>(output_clock.ElapsedSeconds() * 1e6));
+    slot.record.end_seconds = s->job_clock.ElapsedSeconds();
   }
 }
 

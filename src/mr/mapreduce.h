@@ -219,7 +219,10 @@ struct JobConfig {
   /// while other partitions may still be running. This is what lets a
   /// downstream round start per-partition work ahead of the job barrier.
   /// Full (map+reduce) jobs only; arguments are the partition index, its
-  /// output values, and that reduce task's counters.
+  /// output values, and that reduce task's counters. The callback counts
+  /// as reduce-task time: its wall time lands in the task's
+  /// partition_output_micros counter and the task's TaskRecord closes
+  /// after it returns.
   std::function<void(int partition, const std::vector<std::string>& values,
                      const JobCounters& counters)>
       on_partition_output;

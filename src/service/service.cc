@@ -12,6 +12,10 @@ namespace {
 
 constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
+// Cancel cause of a job past its timeout, queued or running: whichever
+// path fires first, the status names the timeout.
+constexpr char kTimeoutCause[] = "job timeout exceeded";
+
 // Job-log opcodes (on-disk format; never renumber).
 constexpr uint8_t kOpSubmit = 1;
 constexpr uint8_t kOpStart = 2;
@@ -807,7 +811,8 @@ void GesallService::WatchdogLoop() {
       JobOutput out;
       out.id = id;
       out.tenant = job->spec.tenant;
-      out.status = Status::Cancelled("job timed out in queue");
+      out.status =
+          Status::Cancelled(std::string(kTimeoutCause) + " while queued");
       out.queue_seconds = now - job->submitted_at;
       out.total_seconds = out.queue_seconds;
       FinishJobLocked(job, std::move(out));
@@ -824,7 +829,7 @@ void GesallService::WatchdogLoop() {
     }
     if (!to_cancel.empty()) {
       lock.unlock();
-      for (auto& token : to_cancel) token->Cancel("job timeout exceeded");
+      for (auto& token : to_cancel) token->Cancel(kTimeoutCause);
       lock.lock();
     }
   }

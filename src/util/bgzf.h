@@ -17,7 +17,9 @@
 // DFS intermediate parts (DfsOptions::compress_parts), shuffle spill runs
 // (JobConfig::compress_shuffle), and the BAM container itself. All of
 // them share the zlib-level knob and the per-writer BgzfCodecStats that
-// feed the raw-vs-compressed disk-byte counters.
+// feed the raw-vs-compressed disk-byte counters. Nothing is framed twice:
+// the DFS stores a payload that is already a complete BGZF chain (a BAM
+// part) verbatim, and deflates only other payloads.
 
 #ifndef GESALL_UTIL_BGZF_H_
 #define GESALL_UTIL_BGZF_H_

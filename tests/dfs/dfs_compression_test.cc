@@ -45,6 +45,32 @@ std::string NoisePayload(size_t n, uint64_t seed) {
   return s;
 }
 
+// A BAM container of `n` random 100 bp reads: BGZF from end to end.
+std::string SampleBam(int n, uint64_t seed,
+                      std::vector<SamRecord>* records = nullptr) {
+  SamHeader header;
+  header.refs = {{"chr1", 1'000'000}};
+  Rng rng(seed);
+  std::vector<SamRecord> recs;
+  for (int i = 0; i < n; ++i) {
+    SamRecord r;
+    r.qname = "read" + std::to_string(i);
+    r.flag = sam_flags::kPaired;
+    r.ref_id = 0;
+    r.pos = static_cast<int64_t>(rng.Uniform(900'000));
+    r.mapq = 60;
+    r.cigar = {{'M', 100}};
+    r.seq.resize(100);
+    for (auto& c : r.seq) c = "ACGT"[rng.Uniform(4)];
+    r.qual.resize(100);
+    for (auto& c : r.qual) c = static_cast<char>(33 + rng.Uniform(40));
+    recs.push_back(std::move(r));
+  }
+  std::string bam = WriteBam(header, recs).ValueOrDie();
+  if (records != nullptr) *records = std::move(recs);
+  return bam;
+}
+
 TEST(DfsCompressionTest, ValidationRejectsBadLevel) {
   DfsOptions o = CompressedOptions();
   o.compress_level = 10;
@@ -226,6 +252,107 @@ TEST(DfsCompressionTest, BamSplitsReadableOverCompressedParts) {
     recovered.insert(recovered.end(), part.begin(), part.end());
   }
   EXPECT_EQ(recovered, records);
+}
+
+TEST(DfsCompressionTest, BamPayloadStoredVerbatim) {
+  // A BAM part is already a complete BGZF chain: a second deflate cannot
+  // shrink it, so its bytes are stored as they are, with no codec cpu.
+  Dfs dfs(CompressedOptions());
+  ASSERT_TRUE(dfs.Write("/text", BasePayload(100'000, 9)).ok());
+  const DfsStats before = dfs.stats();
+  ASSERT_GT(before.compress_micros, 0);
+
+  std::string bam = SampleBam(800, 10);
+  ASSERT_TRUE(dfs.Write("/part.bam", bam).ok());
+  EXPECT_EQ(dfs.Read("/part.bam").ValueOrDie(), bam);
+  const DfsStats after = dfs.stats();
+  EXPECT_EQ(after.bytes_written_raw - before.bytes_written_raw,
+            static_cast<int64_t>(bam.size()));
+  EXPECT_EQ(after.bytes_written_stored - before.bytes_written_stored,
+            static_cast<int64_t>(bam.size()));
+  EXPECT_EQ(after.compress_micros, before.compress_micros);
+}
+
+TEST(DfsCompressionTest, MultiBlockBamStoredVerbatimAndSplitsDecode) {
+  // DFS blocks cut the chain mid-frame; each block is still stored raw
+  // and the split reader decodes across the cuts.
+  DfsOptions o = CompressedOptions();
+  o.block_size = 16 * 1024;
+  Dfs dfs(o);
+  std::vector<SamRecord> records;
+  std::string bam = SampleBam(800, 11, &records);
+  ASSERT_TRUE(dfs.Write("/sample.bam", bam).ok());
+  ASSERT_GT(dfs.Locate("/sample.bam").ValueOrDie().size(), 3u);
+  DfsStats stats = dfs.stats();
+  EXPECT_EQ(stats.bytes_written_raw, static_cast<int64_t>(bam.size()));
+  EXPECT_EQ(stats.bytes_written_stored, stats.bytes_written_raw);
+  EXPECT_EQ(stats.compress_micros, 0);
+
+  auto splits = ComputeBamSplits(dfs, "/sample.bam").ValueOrDie();
+  ASSERT_GT(splits.size(), 3u);
+  std::vector<SamRecord> recovered;
+  for (const auto& split : splits) {
+    auto part = ReadBamSplit(dfs, "/sample.bam", split).ValueOrDie();
+    recovered.insert(recovered.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(recovered, records);
+  EXPECT_EQ(dfs.stats().decompress_micros, 0);  // nothing to inflate
+}
+
+TEST(DfsCompressionTest, NearMissChainsStillDeflate) {
+  // Only an exact chain of complete frames is stored verbatim; anything
+  // else takes the deflate path (framed, so stored != raw) and round-trips.
+  const std::string bam = SampleBam(800, 12);
+  const std::string acgt = BasePayload(100'000, 13);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"truncated last frame", bam.substr(0, bam.size() - 5)},
+      {"trailing bytes", bam + "tail"},
+      {"GBZ1 text", "GBZ1" + acgt},
+  };
+  for (const auto& [name, payload] : cases) {
+    Dfs dfs(CompressedOptions());
+    ASSERT_TRUE(dfs.Write("/f", payload).ok()) << name;
+    EXPECT_EQ(dfs.Read("/f").ValueOrDie(), payload) << name;
+    DfsStats stats = dfs.stats();
+    EXPECT_EQ(stats.bytes_written_raw, static_cast<int64_t>(payload.size()))
+        << name;
+    EXPECT_NE(stats.bytes_written_stored, stats.bytes_written_raw) << name;
+  }
+  // The text deflates; the BAM near-misses land in the stored fallback.
+  Dfs dfs(CompressedOptions());
+  ASSERT_TRUE(dfs.Write("/text", "GBZ1" + acgt).ok());
+  EXPECT_LT(dfs.stats().bytes_written_stored * 2,
+            dfs.stats().bytes_written_raw);
+}
+
+TEST(DfsCompressionTest, CorruptVerbatimBamReplicaQuarantinedAndRepaired) {
+  DfsOptions o = CompressedOptions();
+  o.block_size = 32 * 1024;
+  Dfs dfs(o);
+  FaultInjector injector(14);
+  ASSERT_TRUE(injector.ArmFirstAttempts(kFaultDfsBlockCorrupt, 1).ok());
+  dfs.set_fault_injector(&injector);
+
+  std::string bam = SampleBam(800, 15);
+  ASSERT_TRUE(dfs.Write("/part.bam", bam).ok());
+  const int64_t blocks =
+      static_cast<int64_t>(dfs.Locate("/part.bam").ValueOrDie().size());
+  ASSERT_GT(blocks, 1);
+  EXPECT_EQ(dfs.Read("/part.bam").ValueOrDie(), bam);
+  DfsStats stats = dfs.stats();
+  EXPECT_EQ(stats.corruptions_detected, blocks);
+  EXPECT_EQ(stats.replicas_quarantined, blocks);
+  EXPECT_EQ(stats.blocks_failed_over, blocks);
+  EXPECT_EQ(stats.reads_failed, 0);
+
+  // Scrub re-replicates the verbatim bytes: traffic equals the BAM size.
+  ASSERT_TRUE(dfs.Tick().ok());
+  stats = dfs.stats();
+  EXPECT_EQ(stats.blocks_re_replicated, blocks);
+  EXPECT_EQ(stats.bytes_re_replicated, static_cast<int64_t>(bam.size()));
+  dfs.ResetStats();
+  EXPECT_EQ(dfs.Read("/part.bam").ValueOrDie(), bam);
+  EXPECT_EQ(dfs.stats().corruptions_detected, 0);
 }
 
 }  // namespace

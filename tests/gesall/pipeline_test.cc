@@ -274,6 +274,52 @@ TEST_F(PipelineIntegrationTest, StatsRecordedPerRound) {
   }
 }
 
+TEST_F(PipelineIntegrationTest, BarrieredRoundWallsTileTheRun) {
+  // The bloom pre-round records its own wall and round 3's clock starts
+  // after it, so no second is counted by two barriered rounds.
+  double bloom_wall = 0, sum = 0;
+  for (const auto& s : pipeline_->stats()) {
+    sum += s.wall_seconds;
+    if (s.name == "round3_bloom_preround") bloom_wall = s.wall_seconds;
+  }
+  EXPECT_GT(bloom_wall, 0.0);
+  EXPECT_LE(sum, pipeline_->SummarizeExecution().wall_seconds);
+}
+
+TEST_F(PipelineIntegrationTest, StagePartsCommitInPartitionOrder) {
+  // Reducers encode their partitions concurrently, but a barriered round
+  // commits them in partition order: DFS block ids (which seeded
+  // block-corruption schedules key on) rise with the partition index.
+  for (const char* stage : {"cleaned", "dedup", "sorted"}) {
+    std::vector<std::string> parts;
+    for (auto& p : dfs_->List(std::string("/gesall/") + stage + "/")) {
+      if (p.size() > 4 && p.compare(p.size() - 4, 4, ".bam") == 0) {
+        parts.push_back(std::move(p));
+      }
+    }
+    ASSERT_GE(parts.size(), 3u) << stage;
+    int64_t last = -1;
+    for (const auto& path : parts) {
+      auto blocks = dfs_->Locate(path);
+      ASSERT_TRUE(blocks.ok()) << path;
+      ASSERT_FALSE(blocks.ValueOrDie().empty()) << path;
+      EXPECT_GT(blocks.ValueOrDie().front().block_id, last) << path;
+      last = blocks.ValueOrDie().back().block_id;
+    }
+  }
+}
+
+TEST_F(PipelineIntegrationTest, PartitionEncodingIsReduceTaskTime) {
+  // Encoding a stage partition runs inside its reduce task: the engine
+  // charges it to partition_output_micros on every shuffling round.
+  for (const auto& s : pipeline_->stats()) {
+    if (s.name == "round2_cleaning" || s.name == "round3_markdup_opt" ||
+        s.name == "round4_sort") {
+      EXPECT_GT(s.counters.Get("partition_output_micros"), 0) << s.name;
+    }
+  }
+}
+
 TEST_F(PipelineIntegrationTest, TransformTimeAccounted) {
   // Fig 6(a): the data-transformation counter must be populated and be a
   // nontrivial share of transform+program time in shuffling rounds.

@@ -351,5 +351,30 @@ TEST(MapReduceTest, PartitionOutputCallbackFiresPerReducer) {
   }
 }
 
+// The callback's work belongs to its reduce task: its wall time lands in
+// partition_output_micros and the task record closes after it returns.
+TEST(MapReduceTest, PartitionOutputCallbackCountsAsReduceTaskTime) {
+  JobConfig config;
+  config.num_reducers = 2;
+  config.on_partition_output = [](int, const std::vector<std::string>&,
+                                  const JobCounters&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  MapReduceJob job(config);
+  auto result = job.Run(
+                       {InlineSplit("a b c d")},
+                       [] { return std::make_unique<WordCountMapper>(); },
+                       [] { return std::make_unique<SumReducer>(); })
+                    .ValueOrDie();
+  EXPECT_GE(result.counters.Get("partition_output_micros"), 2 * 20'000);
+  int reduces = 0;
+  for (const auto& t : result.tasks) {
+    if (t.type != TaskRecord::Type::kReduce) continue;
+    ++reduces;
+    EXPECT_GE(t.end_seconds - t.start_seconds, 0.020) << "reduce " << t.index;
+  }
+  EXPECT_EQ(reduces, 2);
+}
+
 }  // namespace
 }  // namespace gesall

@@ -246,6 +246,12 @@ TEST_F(ServiceRecoveryTest, GracefulShutdownRequeuesQueuedJobs) {
     // Drain first: once the runner delivers the first job's output it
     // would otherwise race this scope's exit to pick up a queued job
     // (weighted-fair prefers the idle tenant) and run it to completion.
+    // Drain only waits for RUNNING jobs, so let the runner pick the first
+    // job up before draining: drained while still queued, it would never
+    // run and the Wait below would block forever.
+    while (service.running_jobs() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     service.Drain();
     auto out = service.Wait(running);
     ASSERT_TRUE(out.ok());
