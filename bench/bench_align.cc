@@ -4,13 +4,14 @@
 // (seeding, clustering, extension, dedupe).
 //
 // Measures reads/sec per kernel, steady-state heap allocations per read
-// (counted via a global operator new override — the AlignScratch pools
-// must make this exactly zero), and the fraction of DP cells the band
-// skips. The banded scalar and banded SIMD kernels must produce
-// bit-identical alignments (digested); the full-rectangle kernel is the
-// performance baseline only — on repetitive windows its winner can leave
-// the band, so full-vs-banded identity holds per read only for
-// seed-anchored alignments (DESIGN.md §8, sw_differential_test.cc).
+// (counted by the util/mem operator-new hooks linked into this binary —
+// the AlignScratch pools must make this exactly zero), and the fraction
+// of DP cells the band skips. The banded scalar and banded SIMD kernels
+// must produce bit-identical alignments (digested); the full-rectangle
+// kernel is the performance baseline only — on repetitive windows its
+// winner can leave the band, so full-vs-banded identity holds per read
+// only for seed-anchored alignments (DESIGN.md §8,
+// sw_differential_test.cc).
 //
 // Emits machine-readable results as JSON (argv[1], default
 // BENCH_align.json in the working directory). Exits non-zero if the
@@ -18,10 +19,7 @@
 // the hot path allocates.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -33,23 +31,9 @@
 #include "genome/read_simulator.h"
 #include "genome/reference_generator.h"
 #include "report.h"
+#include "util/mem.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-
-namespace {
-std::atomic<int64_t> g_heap_allocations{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace gesall {
 namespace {
@@ -93,15 +77,15 @@ RunResult RunKernel(const ReadAligner& aligner,
   // their high-water capacity; repeat until a full pass allocates nothing
   // (total pooled capacity only grows, so this terminates).
   for (int pass = 0; pass < 8; ++pass) {
-    const int64_t before = g_heap_allocations.load();
+    const int64_t before = AllocCount();
     for (const auto& r : reads) {
       aligner.AlignReadInto(r.sequence, &scratch, &out);
     }
-    if (g_heap_allocations.load() == before) break;
+    if (AllocCount() == before) break;
   }
   scratch.stats = SwKernelStats{};
 
-  const int64_t allocs_before = g_heap_allocations.load();
+  const int64_t allocs_before = AllocCount();
   Stopwatch clock;
   uint64_t digest = 0xcbf29ce484222325ULL;
   for (const auto& r : reads) {
@@ -109,7 +93,7 @@ RunResult RunKernel(const ReadAligner& aligner,
     digest = DigestAlignments(digest, out);
   }
   result.seconds = clock.ElapsedSeconds();
-  result.hot_allocations = g_heap_allocations.load() - allocs_before;
+  result.hot_allocations = AllocCount() - allocs_before;
   result.reads = static_cast<int64_t>(reads.size());
   result.digest = digest;
   result.stats = scratch.stats;
@@ -227,7 +211,9 @@ int Main(int argc, char** argv) {
   bool ok = true;
   ok &= bench::Check(banded.digest == simd.digest,
                      "banded SIMD alignments bit-identical to banded scalar");
-  ok &= bench::Check(simd.hot_allocations == 0 && banded.hot_allocations == 0,
+  // A zero count proves nothing unless the hooks are counting.
+  ok &= bench::Check(AllocTrackingActive() && simd.hot_allocations == 0 &&
+                         banded.hot_allocations == 0,
                      "steady-state hot path performs zero heap allocations "
                      "per read");
   ok &= bench::Check(speedup >= 3.0,

@@ -20,16 +20,14 @@
 //
 // Emits machine-readable results as JSON (argv[1], default
 // BENCH_shuffle.json in the working directory). Heap allocations are
-// counted via a global operator new override, so the "one allocation
-// per record" vs "one per arena block" claim is measured, not estimated.
+// counted by the util/mem operator-new hooks linked into this binary,
+// so the "one allocation per record" vs "one per arena block" claim is
+// measured, not estimated.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <numeric>
 #include <queue>
 #include <string>
@@ -44,23 +42,9 @@
 #include "report.h"
 #include "util/crc32c.h"
 #include "util/executor.h"
+#include "util/mem.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-
-namespace {
-std::atomic<int64_t> g_heap_allocations{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace gesall {
 namespace {
@@ -432,7 +416,7 @@ struct CountingConsumer {
 
 RunResult RunLegacy(const Workload& w, const Partitioner& partitioner) {
   RunResult result;
-  int64_t allocs_before = g_heap_allocations.load();
+  int64_t allocs_before = AllocCount();
   Stopwatch clock;
   // Map side: kNumMapTasks tasks, each shuffling its slice.
   std::vector<LegacyShuffle> tasks;
@@ -451,7 +435,7 @@ RunResult RunLegacy(const Workload& w, const Partitioner& partitioner) {
     counting(key, values);
   });
   result.seconds = clock.ElapsedSeconds();
-  result.heap_allocations = g_heap_allocations.load() - allocs_before;
+  result.heap_allocations = AllocCount() - allocs_before;
 
   // Verification (untimed): digest the full group stream.
   WalkLegacyGroups(tasks, [&](std::string_view key,
@@ -470,7 +454,7 @@ RunResult RunLegacy(const Workload& w, const Partitioner& partitioner) {
 RunResult RunArena(const Workload& w, const Partitioner& partitioner,
                    bool checksum) {
   RunResult result;
-  int64_t allocs_before = g_heap_allocations.load();
+  int64_t allocs_before = AllocCount();
   Stopwatch clock;
   std::vector<ShuffleBuffer> tasks;
   tasks.reserve(kNumMapTasks);
@@ -507,7 +491,7 @@ RunResult RunArena(const Workload& w, const Partitioner& partitioner,
     counting(key, values);
   });
   result.seconds = clock.ElapsedSeconds();
-  result.heap_allocations = g_heap_allocations.load() - allocs_before;
+  result.heap_allocations = AllocCount() - allocs_before;
 
   // Verification (untimed): digest the full group stream.
   WalkArenaGroups(tasks, [&](std::string_view key,
@@ -534,7 +518,7 @@ RunResult RunArena(const Workload& w, const Partitioner& partitioner,
 RunResult RunCompressed(const Workload& w, const Partitioner& partitioner,
                         Executor* executor) {
   RunResult result;
-  int64_t allocs_before = g_heap_allocations.load();
+  int64_t allocs_before = AllocCount();
   Stopwatch clock;
   std::vector<ShuffleBuffer> tasks;
   tasks.reserve(kNumMapTasks);
@@ -564,7 +548,7 @@ RunResult RunCompressed(const Workload& w, const Partitioner& partitioner,
       },
       &result.decompress_micros);
   result.seconds = clock.ElapsedSeconds();
-  result.heap_allocations = g_heap_allocations.load() - allocs_before;
+  result.heap_allocations = AllocCount() - allocs_before;
 
   // Verification (untimed): digest the full group stream.
   WalkCompressedGroups(

@@ -43,7 +43,11 @@
 #     node graph's pump/park state machine — one-shot queue wake-ups
 #     racing the idle transition, abort racing parked callbacks — which
 #     is exactly the machinery TSan exists for (util_test covers the
-#     BoundedQueue underneath it).
+#     BoundedQueue underneath it). The PipelineDagTest filter runs the
+#     round driver in every mode: behind a gated edge a reduce worker
+#     encodes and commits its partition and fires the downstream split's
+#     ReadySignal while the driver thread is still awaiting, sealing and
+#     starting other rounds, so worker-side commits race the driver.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -94,7 +98,8 @@ if [[ "$run_tsan" == 1 ]]; then
   ./build-tsan/tests/util_test
   ./build-tsan/tests/mr_test
   ./build-tsan/tests/service_test
-  ./build-tsan/tests/gesall_test --gtest_filter='PipelineNodeTest.*'
+  ./build-tsan/tests/gesall_test \
+    --gtest_filter='PipelineNodeTest.*:PipelineDagTest.*'
 fi
 
 echo "=== check.sh: all green ==="

@@ -52,6 +52,70 @@ std::vector<std::string> ListBams(const Dfs& dfs, const std::string& dir) {
   return out;
 }
 
+// Per-partition readiness signals of one round's output: signal r fires
+// once partition r is on the DFS.
+using Signals = std::vector<std::shared_ptr<ReadySignal>>;
+
+// The BAM parts a round reads from `dir`. Behind a gate that is every
+// partition the upstream round will write (none need exist yet);
+// behind a barrier it is the committed listing.
+std::vector<std::string> PartPaths(const Dfs& dfs, const std::string& dir,
+                                   const Signals& gate) {
+  if (gate.empty()) return ListBams(dfs, dir);
+  std::vector<std::string> paths;
+  for (size_t r = 0; r < gate.size(); ++r) {
+    paths.push_back(PartPath(dir, static_cast<int>(r)) + ".bam");
+  }
+  return paths;
+}
+
+// One whole-file map split per path. With a gate, split i is admitted
+// once gate[i] fires; `locality` pins each split to its file's primary
+// node under the logical-partition placement.
+std::vector<InputSplit> FileSplits(Dfs* dfs,
+                                   const std::vector<std::string>& paths,
+                                   const Signals& gate = {},
+                                   bool locality = false) {
+  std::vector<InputSplit> splits;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    InputSplit s;
+    s.load = [dfs, path = paths[i]]() { return dfs->Read(path); };
+    if (!gate.empty()) s.ready = gate[i];
+    if (locality) {
+      s.preferred_node = LogicalPartitionPlacementPolicy::PrimaryNodeFor(
+          paths[i], dfs->num_data_nodes());
+    }
+    splits.push_back(std::move(s));
+  }
+  return splits;
+}
+
+// Writes a map-only round's BAMs under `dir`: part i is map task i's
+// output (a task isolated by skip_bad_records leaves its slot empty).
+Status WriteMapParts(Dfs* dfs, const std::string& dir,
+                     const JobResult& result) {
+  LogicalPartitionPlacementPolicy policy;
+  for (size_t i = 0; i < result.reducer_outputs.size(); ++i) {
+    if (result.reducer_outputs[i].empty()) continue;
+    GESALL_RETURN_NOT_OK(
+        dfs->Write(PartPath(dir, static_cast<int>(i)) + ".bam",
+                   result.reducer_outputs[i][0], &policy));
+  }
+  return Status::OK();
+}
+
+// Appends every record of a concatenation of EncodeVariantBinary outputs.
+Status DecodeVariants(std::string_view bytes,
+                      std::vector<VariantRecord>* out) {
+  size_t offset = 0;
+  while (offset < bytes.size()) {
+    GESALL_ASSIGN_OR_RETURN(VariantRecord rec,
+                            DecodeVariantBinary(bytes, &offset));
+    out->push_back(std::move(rec));
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------
 // Round 1: map-only alignment (Bwa wrapper + SamToBam via "streaming").
 
@@ -102,21 +166,64 @@ class StreamedRoundMapper : public Mapper {
   }
 };
 
+// Map splits of the fused rounds 1+2: each task pumps one FASTQ
+// partition through the bounded-queue node graph (align + clean) and
+// emits cleaned records straight into the qname shuffle. Batch slicing
+// matches AlignPairs' own boundaries, so the shuffled records — and
+// every downstream stage — are byte-identical to the barriered rounds'.
+std::vector<InputSplit> AlignCleanSplits(
+    Dfs* dfs, const std::vector<std::string>& paths, const GenomeIndex* index,
+    const PipelineConfig& config, const SamHeader* header,
+    Executor* executor) {
+  std::vector<InputSplit> splits;
+  for (const auto& path : paths) {
+    InputSplit s;
+    s.stream = [dfs, path, index, opt = config.aligner, header,
+                rg = config.read_group, cancel = config.cancel,
+                executor](MapContext* ctx) -> Status {
+      GESALL_ASSIGN_OR_RETURN(std::string text, dfs->Read(path));
+      ctx->IncrementCounter("map_input_bytes",
+                            static_cast<int64_t>(text.size()));
+      std::vector<FastqRecord> reads;
+      {
+        CounterTimer timer(ctx, kTransformMicros);
+        GESALL_ASSIGN_OR_RETURN(reads, ParseFastq(text));
+      }
+      text.clear();
+      text.shrink_to_fit();
+      AlignCleanStreamOptions sopts;
+      sopts.executor = executor;
+      sopts.cancel = cancel;
+      sopts.clean = true;
+      sopts.header = header;
+      sopts.read_group = rg;
+      AlignCleanStreamStats sstats;
+      GESALL_RETURN_NOT_OK(RunAlignCleanStream(
+          *index, opt, std::move(reads), sopts,
+          [ctx](RecordBatch* batch) {
+            CounterTimer timer(ctx, kTransformMicros);
+            for (const auto& r : batch->records) {
+              ctx->EmitView(r.qname, EncodeBamRecord(r));
+            }
+            return Status::OK();
+          },
+          &sstats));
+      EmitStreamCounters(ctx, sstats);
+      return Status::OK();
+    };
+    splits.push_back(std::move(s));
+  }
+  return splits;
+}
+
+// Round 1 map: the Fig. 8 dataflow — FASTQ text lines -> pipe -> bwa mem
+// -> pipe -> SamToBam, with pipe statistics exposed as counters.
 class AlignmentMapper : public Mapper {
  public:
-  AlignmentMapper(const GenomeIndex* index, const PairedAlignerOptions& opt,
-                  bool use_streaming)
-      : index_(index), options_(opt), use_streaming_(use_streaming) {}
+  AlignmentMapper(const GenomeIndex* index, const PairedAlignerOptions& opt)
+      : index_(index), options_(opt) {}
 
   Status Map(const std::string& input, MapContext* ctx) override {
-    if (use_streaming_) return MapStreaming(input, ctx);
-    return MapNative(input, ctx);
-  }
-
- private:
-  // Fig. 8 dataflow: FASTQ text lines -> pipe -> bwa mem -> pipe ->
-  // SamToBam, with pipe statistics exposed as counters.
-  Status MapStreaming(const std::string& input, MapContext* ctx) {
     BwaStreamProgram bwa(*index_, options_);
     StreamingStats stats;
     GESALL_ASSIGN_OR_RETURN(
@@ -134,33 +241,9 @@ class AlignmentMapper : public Mapper {
     return Status::OK();
   }
 
-  Status MapNative(const std::string& input, MapContext* ctx) {
-    // Transform: text FASTQ -> record structs (TextInputWriter analog).
-    PairedEndAligner aligner(*index_, options_);
-    std::vector<FastqRecord> reads;
-    {
-      CounterTimer timer(ctx, kTransformMicros);
-      GESALL_ASSIGN_OR_RETURN(reads, ParseFastq(input));
-    }
-    // Wrapped external program #1: bwa mem.
-    PairedAlignScratch scratch;
-    std::vector<SamRecord> records = RunWrappedProgram(ctx, [&] {
-      std::vector<SamRecord> recs;
-      aligner.AlignPairs(reads, &scratch, &recs);
-      return recs;
-    });
-    EmitKernelCounters(ctx, scratch.read.stats);
-    // Wrapped external program #2: SamToBam.
-    GESALL_ASSIGN_OR_RETURN(std::string bam, RunWrappedProgram(ctx, [&] {
-                              return SamToBam(aligner.MakeHeader(), records);
-                            }));
-    ctx->Emit("", std::move(bam));
-    return Status::OK();
-  }
-
+ private:
   const GenomeIndex* index_;
   PairedAlignerOptions options_;
-  bool use_streaming_;
 };
 
 // ---------------------------------------------------------------------
@@ -653,64 +736,66 @@ class HaplotypeCallerMapper : public Mapper {
   HaplotypeCallerOptions options_;
 };
 
-// The write side every shuffling round shares, barriered or pipelined:
-// one round's reduce partitions become BAM parts under `dir`. Each
-// partition is encoded on the reduce worker that produced it (from
+// The write side every shuffling round shares: one round's reduce
+// partitions become BAM parts under `dir`. Each partition is encoded on
+// the reduce worker that produced it (from
 // JobConfig::on_partition_output), so encoding is reduce-task time, not
 // driver time; the sort round also builds its linear index sidecar there
 // ("sorting and building the BAM file index in the reducer", §4.1).
 //
-// Barriered rounds park the encoded parts and the driver commits them
-// after the job in partition order, so DFS block ids (and the seeded
-// block-corruption schedules keyed on them) never depend on which
-// reducer finished first. Pipelined rounds commit each part from its
-// worker and then fire that partition's readiness signal.
+// Behind a barrier edge the encoded parts are parked and the driver
+// commits them after the job in partition order, so DFS block ids (and
+// the seeded block-corruption schedules keyed on them) never depend on
+// which reducer finished first. Behind a gate edge each part is written
+// from its worker and then fires that partition's readiness signal.
 class PartitionSink {
  public:
-  // Returns a sink armed as cfg->on_partition_output. Without `ready`
-  // signals the encoded parts wait for Commit(); with them, each part is
-  // written from its worker and ready[r] fires after — on failure too,
-  // so gated splits are admitted and the failure surfaces via status().
-  static std::shared_ptr<PartitionSink> Arm(
-      JobConfig* cfg, Dfs* dfs, std::string dir, SamHeader header,
-      bool indexed = false,
-      std::vector<std::shared_ptr<ReadySignal>> ready = {}) {
+  // Returns a sink armed as cfg->on_partition_output. With `gated`, each
+  // part is written from its worker and ready()[r] fires after — on
+  // failure too, so gated splits are admitted and the failure surfaces
+  // via status(); otherwise the encoded parts wait for Commit().
+  static std::shared_ptr<PartitionSink> Arm(JobConfig* cfg, Dfs* dfs,
+                                            std::string dir,
+                                            SamHeader header, bool indexed,
+                                            bool gated) {
+    const size_t partitions =
+        static_cast<size_t>(std::max(0, cfg->num_reducers));
     std::shared_ptr<PartitionSink> sink(new PartitionSink(
-        dfs, std::move(dir), std::move(header), indexed,
-        static_cast<size_t>(std::max(0, cfg->num_reducers))));
-    cfg->on_partition_output = [sink, ready](
-                                   int r,
-                                   const std::vector<std::string>& values,
-                                   const JobCounters&) {
-      const size_t i = static_cast<size_t>(r);
-      Status s = sink->Encode(i, values);
-      if (!ready.empty()) {
-        if (s.ok()) s = sink->Put(i, ".bam", sink->parts_[i].bam);
-        if (s.ok() && sink->indexed_) {
-          s = sink->Put(i, ".bai", sink->parts_[i].index);
-        }
-        sink->parts_[i] = Part{};
-      }
-      if (!s.ok()) {
-        std::lock_guard<std::mutex> lock(sink->mu_);
-        if (sink->error_.ok()) sink->error_ = s;
-      }
-      if (!ready.empty()) ready[i]->Notify();
+        dfs, std::move(dir), std::move(header), indexed, partitions));
+    for (size_t r = 0; gated && r < partitions; ++r) {
+      sink->ready_.push_back(std::make_shared<ReadySignal>());
+    }
+    cfg->on_partition_output = [sink](int r,
+                                      const std::vector<std::string>& values,
+                                      const JobCounters&) {
+      sink->Deliver(static_cast<size_t>(r), values);
     };
     return sink;
   }
 
   // Writes the parked parts in partition order, every BAM before any
-  // index sidecar.
+  // index sidecar, and frees them. A gated sink's workers already wrote
+  // theirs.
   Status Commit() {
     GESALL_RETURN_NOT_OK(status());
-    for (size_t i = 0; i < parts_.size(); ++i) {
-      GESALL_RETURN_NOT_OK(Put(i, ".bam", parts_[i].bam));
+    if (!ready_.empty()) return Status::OK();
+    const std::vector<Part> parts = std::move(parts_);
+    for (size_t i = 0; i < parts.size(); ++i) {
+      GESALL_RETURN_NOT_OK(Put(i, ".bam", parts[i].bam));
     }
-    for (size_t i = 0; indexed_ && i < parts_.size(); ++i) {
-      GESALL_RETURN_NOT_OK(Put(i, ".bai", parts_[i].index));
+    for (size_t i = 0; indexed_ && i < parts.size(); ++i) {
+      GESALL_RETURN_NOT_OK(Put(i, ".bai", parts[i].index));
     }
     return Status::OK();
+  }
+
+  // Per-partition signals of a gated sink (empty otherwise).
+  const Signals& ready() const { return ready_; }
+
+  // Fires every signal, so splits gated on a job that failed or never
+  // ran are admitted and their own jobs can finish.
+  void Release() {
+    for (auto& signal : ready_) signal->Notify();
   }
 
   // First encode or write failure seen on a worker.
@@ -732,6 +817,20 @@ class PartitionSink {
         header_(std::move(header)),
         indexed_(indexed),
         parts_(partitions) {}
+
+  void Deliver(size_t i, const std::vector<std::string>& values) {
+    Status s = Encode(i, values);
+    if (!ready_.empty()) {
+      if (s.ok()) s = Put(i, ".bam", parts_[i].bam);
+      if (s.ok() && indexed_) s = Put(i, ".bai", parts_[i].index);
+      parts_[i] = Part{};
+    }
+    if (!s.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (error_.ok()) error_ = s;
+    }
+    if (!ready_.empty()) ready_[i]->Notify();
+  }
 
   Status Encode(size_t i, const std::vector<std::string>& values) {
     Part& part = parts_[i];
@@ -762,6 +861,7 @@ class PartitionSink {
   SamHeader header_;
   bool indexed_;
   std::vector<Part> parts_;  // one slot per partition, each written once
+  Signals ready_;            // set when gated
   mutable std::mutex mu_;
   Status error_;
 };
@@ -796,9 +896,9 @@ GesallPipeline::GesallPipeline(const ReferenceGenome& reference,
   }
 }
 
-JobConfig GesallPipeline::MakeJobConfig(int reducers) const {
+JobConfig GesallPipeline::MakeJobConfig() const {
   JobConfig cfg;
-  cfg.num_reducers = reducers;
+  cfg.num_reducers = 0;  // map-only unless the round declares reducers
   cfg.max_parallel_tasks = config_.max_parallel_tasks;
   cfg.sort_buffer_bytes = config_.sort_buffer_bytes;
   cfg.fault_injector = config_.fault_injector;
@@ -872,6 +972,14 @@ bool GesallPipeline::RoundComplete(int round_index) const {
   return true;
 }
 
+int GesallPipeline::SealedThrough() const {
+  if (!config_.resume) return 0;
+  for (int round = kRoundVariants; round >= kRoundAlignment; --round) {
+    if (RoundComplete(round)) return round;
+  }
+  return 0;
+}
+
 Status GesallPipeline::SealRound(int round_index, const std::string& name) {
   if (config_.write_manifests) {
     // The round's outputs are already durable in the DFS; the manifest
@@ -891,15 +999,6 @@ Status GesallPipeline::SealRound(int round_index, const std::string& name) {
   }
   if (config_.on_round_complete) config_.on_round_complete(round_index, name);
   return Status::OK();
-}
-
-bool GesallPipeline::SkipIfSealed(int round_index, const std::string& name) {
-  if (!config_.resume || !RoundComplete(round_index)) return false;
-  JobCounters counters;
-  counters.Add("round_skipped_on_resume", 1);
-  stats_.push_back({name, 0.0, std::move(counters), {}});
-  if (config_.on_round_complete) config_.on_round_complete(round_index, name);
-  return true;
 }
 
 FaultToleranceSummary GesallPipeline::SummarizeFaultTolerance() const {
@@ -941,394 +1040,482 @@ Status GesallPipeline::LoadSample(const std::vector<FastqRecord>& mate1,
   return Status::OK();
 }
 
-Status GesallPipeline::RunRound1Alignment() {
-  if (SkipIfSealed(kRoundAlignment, "round1_alignment")) return MaybeTick();
-  Stopwatch clock;
-  std::vector<std::string> inputs = dfs_->List(input_dir_);
-  if (inputs.empty()) return Status::InvalidArgument("no input partitions");
+// -----------------------------------------------------------------------
+// The round driver. Plan() declares every MapReduce job of the rounds
+// once; RunRounds() runs a slice of that plan, crossing each edge between
+// consecutive jobs either as a barrier (finish and commit every job in
+// flight, then build the next one from the upstream directory's listing)
+// or as a per-partition gate (start the next job at once; each of its
+// splits is admitted when its upstream partition is on the DFS).
+// Barriered, pipelined and streamed runs differ only in those edges and
+// in whether round 1 is fused into round 2's maps.
+
+// One MapReduce job of the plan. Plan() fixes what it is; `declare`
+// builds its splits, config, factories and sink when the driver crosses
+// its in-edge, so a barrier-fed job lists its upstream directory only
+// after the upstream committed.
+struct GesallPipeline::RoundJob {
+  int round = 0;       // PipelineRound the job belongs to
+  std::string name;    // its RoundStats, span and manifest name
+  bool seals = false;  // last job of its round: seal and tick on finish
+  bool gated = false;  // in-edge is a gate on the previous job's sink
+  std::function<Status(RoundJob*)> declare;
+
+  // Set by the driver before `declare`: the upstream sink's signals when
+  // gated, and whether the next job is gated on this job's sink.
+  Signals gate;
+  bool gate_out = false;
+
+  // Set by `declare`.
   std::vector<InputSplit> splits;
-  for (const auto& path : inputs) {
-    InputSplit s;
-    Dfs* dfs = dfs_;
-    s.load = [dfs, path]() { return dfs->Read(path); };
-    splits.push_back(std::move(s));
+  JobConfig cfg;
+  MapperFactory mapper;
+  ReducerFactory reducer;                    // null: map-only
+  std::unique_ptr<Partitioner> partitioner;  // null: hash partitioning
+  std::shared_ptr<PartitionSink> sink;       // shuffling rounds
+  // Driver-side fold of a map-only round's outputs.
+  std::function<Status(const JobResult&)> fold;
+
+  double start_seconds = 0;
+  std::optional<MapReduceJob::Handle> handle;
+
+  void Arm(Dfs* dfs, std::string dir, SamHeader header,
+           bool indexed = false) {
+    sink = PartitionSink::Arm(&cfg, dfs, std::move(dir), std::move(header),
+                              indexed, gate_out);
   }
-  MapReduceJob job(MakeJobConfig(0));
-  const GenomeIndex* index = index_;
-  PairedAlignerOptions opt = config_.aligner;
-  bool streaming = config_.use_streaming_alignment;
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult result,
-      job.RunMapOnly(splits, [index, opt, streaming] {
-        return std::make_unique<AlignmentMapper>(index, opt, streaming);
-      }));
-  LogicalPartitionPlacementPolicy policy;
-  for (size_t i = 0; i < result.reducer_outputs.size(); ++i) {
-    if (result.reducer_outputs[i].empty()) continue;
-    GESALL_RETURN_NOT_OK(
-        dfs_->Write(PartPath(aligned_dir_, static_cast<int>(i)) + ".bam",
-                    result.reducer_outputs[i][0], &policy));
+};
+
+// State of one RunRounds() call: the clock its spans are measured on,
+// the task slots its jobs share, and the driver-merged values that later
+// rounds' mappers read.
+struct GesallPipeline::Drive {
+  Executor* executor = nullptr;
+  std::shared_ptr<Throttle> throttle;
+  Stopwatch wall;
+  std::unique_ptr<BloomFilter> bloom;
+  RecalibrationTable table;
+  std::vector<VariantRecord> variants;
+};
+
+std::vector<GesallPipeline::RoundJob> GesallPipeline::Plan(Drive* d,
+                                                           bool pipelined,
+                                                           bool recal) {
+  const bool streamed = pipelined && config_.streaming;
+  const bool bloom = config_.markdup_use_bloom;
+  const bool ug = config_.variant_caller ==
+                  PipelineConfig::VariantCaller::kUnifiedGenotyper;
+  const int C = static_cast<int>(reference_->chromosomes.size());
+  std::vector<RoundJob> plan;
+  auto add = [&plan](int round, std::string name, bool seals, bool gated,
+                     std::function<Status(RoundJob*)> declare) {
+    RoundJob job;
+    job.round = round;
+    job.name = std::move(name);
+    job.seals = seals;
+    job.gated = gated;
+    job.declare = std::move(declare);
+    plan.push_back(std::move(job));
+  };
+  auto inputs = [this]() -> Result<std::vector<std::string>> {
+    std::vector<std::string> paths = dfs_->List(input_dir_);
+    if (paths.empty()) return Status::InvalidArgument("no input partitions");
+    return paths;
+  };
+
+  // Round 1: map-only alignment, one aligned BAM part per FASTQ
+  // partition. A streamed run fuses it into round 2's maps instead, and
+  // the aligned stage never exists on the DFS.
+  if (!streamed) {
+    add(kRoundAlignment, "round1_alignment", /*seals=*/true, /*gated=*/false,
+        [this, inputs](RoundJob* job) -> Status {
+          GESALL_ASSIGN_OR_RETURN(std::vector<std::string> paths, inputs());
+          job->splits = FileSplits(dfs_, paths);
+          job->mapper = [index = index_, opt = config_.aligner] {
+            return std::make_unique<AlignmentMapper>(index, opt);
+          };
+          job->fold = [this](const JobResult& r) {
+            return WriteMapParts(dfs_, aligned_dir_, r);
+          };
+          return Status::OK();
+        });
   }
-  stats_.push_back({"round1_alignment", clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  GESALL_RETURN_NOT_OK(SealRound(kRoundAlignment, "round1_alignment"));
+
+  // Round 2: AddReplaceReadGroups + CleanSam maps, read-name shuffle,
+  // FixMateInformation reduces. The maps read the DFS block splits of
+  // every aligned part (the custom RecordReader path of §3.1) or, fused,
+  // stream FASTQ partitions through the aligner.
+  add(kRoundCleaning, streamed ? "round1_2_streamed" : "round2_cleaning",
+      /*seals=*/true, /*gated=*/false,
+      [this, d, streamed, inputs](RoundJob* job) -> Status {
+        if (streamed) {
+          GESALL_ASSIGN_OR_RETURN(std::vector<std::string> paths, inputs());
+          job->splits = AlignCleanSplits(dfs_, paths, index_, config_,
+                                         &header_, d->executor);
+          job->mapper = [] { return std::make_unique<StreamedRoundMapper>(); };
+        } else {
+          for (const auto& path : ListBams(*dfs_, aligned_dir_)) {
+            GESALL_ASSIGN_OR_RETURN(auto bam_splits,
+                                    ComputeBamSplits(*dfs_, path));
+            for (const auto& bs : bam_splits) {
+              InputSplit s;
+              s.load = [dfs = dfs_, path, bs]() {
+                return ReadBamSplitRecords(*dfs, path, bs);
+              };
+              s.preferred_node =
+                  bs.preferred_nodes.empty() ? -1 : bs.preferred_nodes[0];
+              job->splits.push_back(std::move(s));
+            }
+          }
+          job->mapper = [header = &header_, rg = config_.read_group] {
+            return std::make_unique<CleaningMapper>(header, rg);
+          };
+        }
+        job->cfg.num_reducers = config_.cleaning_reducers;
+        if (config_.use_combiners) {
+          job->cfg.combiner_factory = [] {
+            return std::make_unique<FixMateCombiner>();
+          };
+        }
+        job->reducer = [] { return std::make_unique<FixMateReducer>(); };
+        job->Arm(dfs_, cleaned_dir_, header_);
+        return Status::OK();
+      });
+
+  // Round 3 pre-round (MarkDup_opt): per-mapper bloom filters of the
+  // partial pairs' 5' ends, unioned by the driver — so round 3 proper
+  // always waits behind a barrier.
+  if (bloom) {
+    add(kRoundMarkDuplicates, "round3_bloom_preround", /*seals=*/false,
+        /*gated=*/pipelined,
+        [this, d](RoundJob* job) -> Status {
+          job->splits = FileSplits(
+              dfs_, PartPaths(*dfs_, cleaned_dir_, job->gate), job->gate);
+          const size_t expected = config_.bloom_expected_items;
+          const double fpr = config_.bloom_fpr;
+          job->mapper = [expected, fpr] {
+            return std::make_unique<BloomMapper>(expected, fpr);
+          };
+          job->fold = [d, expected, fpr](const JobResult& r) -> Status {
+            d->bloom = std::make_unique<BloomFilter>(expected, fpr);
+            for (const auto& out : r.reducer_outputs) {
+              for (const auto& v : out) {
+                GESALL_ASSIGN_OR_RETURN(BloomFilter f,
+                                        BloomFilter::Deserialize(v));
+                GESALL_RETURN_NOT_OK(d->bloom->Union(f));
+              }
+            }
+            return Status::OK();
+          };
+          return Status::OK();
+        });
+  }
+
+  // Round 3: compound-key extraction and duplicate marking over whole
+  // cleaned parts (the maps benefit from round 2's read-name grouping,
+  // Appendix A.2).
+  add(kRoundMarkDuplicates,
+      bloom ? "round3_markdup_opt" : "round3_markdup_reg", /*seals=*/true,
+      /*gated=*/false,
+      [this, d](RoundJob* job) -> Status {
+        job->splits = FileSplits(dfs_, ListBams(*dfs_, cleaned_dir_), {},
+                                 /*locality=*/true);
+        job->cfg.num_reducers = config_.markdup_reducers;
+        if (config_.use_combiners) {
+          job->cfg.combiner_factory = [] {
+            return std::make_unique<MarkDupCombiner>();
+          };
+        }
+        job->mapper = [filter = d->bloom.get()] {
+          return std::make_unique<MarkDupMapper>(filter);
+        };
+        job->reducer = [] { return std::make_unique<MarkDupReducer>(); };
+        job->Arm(dfs_, dedup_dir_, header_);
+        return Status::OK();
+      });
+
+  // Optional rounds 3.5: per-partition covariate tables merged by the
+  // driver (GDPT group partitioning by covariates, §3.2), then PrintReads
+  // with the merged table. The merge is a global barrier by construction.
+  if (recal) {
+    add(kRoundRecalibration, "round3.5_base_recalibrator", /*seals=*/false,
+        /*gated=*/false,
+        [this, d](RoundJob* job) -> Status {
+          job->splits = FileSplits(dfs_, ListBams(*dfs_, dedup_dir_));
+          job->mapper = [reference = reference_] {
+            return std::make_unique<RecalTableMapper>(reference);
+          };
+          job->fold = [d](const JobResult& r) -> Status {
+            for (const auto& out : r.reducer_outputs) {
+              for (const auto& v : out) {
+                GESALL_ASSIGN_OR_RETURN(RecalibrationTable t,
+                                        RecalibrationTable::Deserialize(v));
+                d->table.Merge(t);
+              }
+            }
+            return Status::OK();
+          };
+          return Status::OK();
+        });
+    add(kRoundRecalibration, "round3.5_print_reads", /*seals=*/true,
+        /*gated=*/false,
+        [this, d](RoundJob* job) -> Status {
+          job->splits = FileSplits(dfs_, ListBams(*dfs_, dedup_dir_));
+          job->mapper = [table = &d->table] {
+            return std::make_unique<RecalApplyMapper>(table);
+          };
+          job->fold = [this](const JobResult& r) {
+            return WriteMapParts(dfs_, recal_dir_, r);
+          };
+          return Status::OK();
+        });
+  }
+
+  // Round 4: coordinate sort by range partitioning on chromosome, plus
+  // the unmapped records' partition. Each sorted part gets a linear
+  // index sidecar so overlapping-segment round 5 reads only the chunks it
+  // needs; behind a gate, the sidecar is on the DFS before the part's
+  // signal fires.
+  add(kRoundSort, "round4_sort", /*seals=*/true,
+      /*gated=*/pipelined && !recal,
+      [this, C](RoundJob* job) -> Status {
+        // Input: the recalibrated parts when the optional rounds ran.
+        const std::string& input =
+            job->gate.empty() && !ListBams(*dfs_, recal_dir_).empty()
+                ? recal_dir_
+                : dedup_dir_;
+        job->splits =
+            FileSplits(dfs_, PartPaths(*dfs_, input, job->gate), job->gate);
+        std::vector<std::string> boundaries;
+        for (int c = 1; c < C; ++c) {
+          boundaries.push_back(EncodeCoordinateBoundary(c, 0));
+        }
+        boundaries.push_back("\x7f");  // unmapped records partition
+        job->partitioner =
+            std::make_unique<RangePartitioner>(std::move(boundaries));
+        job->cfg.num_reducers = C + 1;
+        job->mapper = [] { return std::make_unique<SortMapper>(); };
+        job->reducer = [] { return std::make_unique<IdentityReducer>(); };
+        SamHeader sorted_header = header_;
+        sorted_header.sort_order = "coordinate";
+        job->Arm(dfs_, sorted_dir_, std::move(sorted_header),
+                 /*indexed=*/true);
+        return Status::OK();
+      });
+
+  // Round 5: the variant caller over range partitions, one split per
+  // chromosome or per overlapping segment of one. A split is an envelope
+  // (chrom, processed region, emit range) around BAM bytes; a segment
+  // split carries only the records the round-4 index places in its
+  // region. Behind a gate, chromosome c's splits wait only for round 4 to
+  // sort and index that chromosome.
+  add(kRoundVariants,
+      ug ? "round5_unified_genotyper" : "round5_haplotype_caller",
+      /*seals=*/true, /*gated=*/pipelined,
+      [this, d, ug, C](RoundJob* job) -> Status {
+        const bool whole = config_.hc_partitioning ==
+                           PipelineConfig::HcPartitioning::kChromosome;
+        const int S =
+            whole ? 1 : std::max(1, config_.hc_segments_per_chromosome);
+        const int64_t overlap =
+            whole ? 0 : config_.hc.max_window + config_.hc.window_pad;
+        for (int c = 0; c < C; ++c) {
+          const std::string path = PartPath(sorted_dir_, c);
+          if (job->gate.empty() && !dfs_->Exists(path + ".bam")) continue;
+          const int64_t len =
+              static_cast<int64_t>(reference_->chromosomes[c].sequence.size());
+          for (int seg = 0; seg < S; ++seg) {
+            const int64_t emit_start = len * seg / S;
+            const int64_t emit_end = len * (seg + 1) / S;
+            const int64_t start = std::max<int64_t>(0, emit_start - overlap);
+            const int64_t end = std::min(len, emit_end + overlap);
+            InputSplit s;
+            s.load = [dfs = dfs_, path, whole, header = header_, c, start,
+                      end, emit_start, emit_end]() -> Result<std::string> {
+              GESALL_ASSIGN_OR_RETURN(std::string bam,
+                                      dfs->Read(path + ".bam"));
+              if (!whole && dfs->Exists(path + ".bai")) {
+                GESALL_ASSIGN_OR_RETURN(std::string raw,
+                                        dfs->Read(path + ".bai"));
+                GESALL_ASSIGN_OR_RETURN(LinearBamIndex index,
+                                        LinearBamIndex::Deserialize(raw));
+                GESALL_ASSIGN_OR_RETURN(
+                    std::vector<SamRecord> region,
+                    ReadBamRegion(bam, index, start, end));
+                GESALL_ASSIGN_OR_RETURN(bam, WriteBam(header, region));
+              }
+              return EncodeHcEnvelope(c, start, end, emit_start, emit_end,
+                                      std::move(bam));
+            };
+            if (!job->gate.empty()) s.ready = job->gate[c];
+            job->splits.push_back(std::move(s));
+          }
+        }
+        if (ug) {
+          job->mapper = [reference = reference_, opt = config_.ug] {
+            return std::make_unique<UnifiedGenotyperMapper>(reference, opt);
+          };
+        } else {
+          job->mapper = [reference = reference_, opt = config_.hc] {
+            return std::make_unique<HaplotypeCallerMapper>(reference, opt);
+          };
+        }
+        job->fold = [this, d](const JobResult& r) -> Status {
+          for (const auto& out : r.reducer_outputs) {
+            for (const auto& v : out) {
+              GESALL_RETURN_NOT_OK(DecodeVariants(v, &d->variants));
+            }
+          }
+          std::sort(d->variants.begin(), d->variants.end(), VariantLess);
+          if (!config_.write_manifests) return Status::OK();
+          // Calls are otherwise in-memory only; persisting them lets a
+          // resumed job whose final round already sealed return them.
+          std::string blob;
+          for (const auto& v : d->variants) blob += EncodeVariantBinary(v);
+          return dfs_->Write(variants_dir_ + "calls.bin", blob);
+        };
+        return Status::OK();
+      });
+  return plan;
+}
+
+Result<std::vector<VariantRecord>> GesallPipeline::RunRounds(int first,
+                                                             int last,
+                                                             bool pipelined) {
+  Drive d;
+  d.executor =
+      config_.executor != nullptr ? config_.executor : Executor::Shared();
+  // One admission throttle: max_parallel_tasks is a slot budget shared
+  // by every job in flight, as when only one round holds slots at a time.
+  d.throttle = std::make_shared<Throttle>(
+      d.executor, std::max(1, config_.max_parallel_tasks));
+  // The recalibration rounds run when configured, or when asked for.
+  std::vector<RoundJob> plan = Plan(
+      &d, pipelined,
+      config_.run_recalibration || first == kRoundRecalibration);
+  std::erase_if(plan, [&](const RoundJob& job) {
+    return job.round < first || job.round > last;
+  });
+  const int sealed = SealedThrough();
+
+  Status s;
+  size_t finished = 0;  // plan[finished, i) are in flight
+  for (size_t i = 0; s.ok() && i < plan.size(); ++i) {
+    RoundJob& job = plan[i];
+    if (job.round <= sealed) {
+      finished = i + 1;
+      if (job.seals) s = SkipRound(job, &d);
+      continue;
+    }
+    while (s.ok() && !job.gated && finished < i) {
+      s = FinishJob(&plan[finished++], &d);
+    }
+    if (!s.ok()) break;
+    if (job.gated) job.gate = plan[i - 1].sink->ready();
+    job.gate_out = i + 1 < plan.size() && plan[i + 1].gated;
+    job.start_seconds = d.wall.ElapsedSeconds();
+    job.cfg = MakeJobConfig();
+    job.cfg.throttle = d.throttle;
+    s = job.declare(&job);
+    if (!s.ok()) break;
+    MapReduceJob mr(job.cfg);
+    job.handle = job.reducer ? mr.Start(job.splits, job.mapper, job.reducer,
+                                        job.partitioner.get())
+                             : mr.StartMapOnly(job.splits, job.mapper);
+  }
+  while (s.ok() && finished < plan.size()) {
+    s = FinishJob(&plan[finished++], &d);
+  }
+  if (s.ok()) return std::move(d.variants);
+  // Release every gate, so gated splits are admitted and their jobs can
+  // finish failing, then drain every job in flight: their tasks capture
+  // this frame's plan and Drive.
+  for (auto& job : plan) {
+    if (job.sink != nullptr) job.sink->Release();
+  }
+  for (auto& job : plan) {
+    if (job.handle.has_value()) (void)job.handle->Wait();
+  }
+  return s;
+}
+
+// Every round ends here: await, commit, stats and span, then — for the
+// last job of a round — seal and heartbeat.
+Status GesallPipeline::FinishJob(RoundJob* job, Drive* d) {
+  Result<JobResult> out = job->handle->Wait();
+  job->handle.reset();
+  GESALL_RETURN_NOT_OK(out.status());
+  const JobResult& result = out.ValueOrDie();
+  if (job->sink != nullptr) GESALL_RETURN_NOT_OK(job->sink->Commit());
+  if (job->fold) GESALL_RETURN_NOT_OK(job->fold(result));
+  const double end = d->wall.ElapsedSeconds();
+  JobResult done = out.MoveValueUnsafe();
+  stats_.push_back({job->name, end - job->start_seconds,
+                    std::move(done.counters), std::move(done.tasks)});
+  execution_.rounds.push_back({job->name, job->start_seconds, end});
+  if (!job->seals) return Status::OK();
+  GESALL_RETURN_NOT_OK(SealRound(job->round, job->name));
   // One heartbeat interval per round: crashed nodes are declared dead
   // and their blocks re-replicated before the next round reads them.
   return MaybeTick();
 }
 
-Status GesallPipeline::RunRound2Cleaning() {
-  if (SkipIfSealed(kRoundCleaning, "round2_cleaning")) return MaybeTick();
-  Stopwatch clock;
-  // Map input: DFS block splits of every aligned partition (the custom
-  // RecordReader path of §3.1).
-  std::vector<InputSplit> splits;
-  for (const auto& path : ListBams(*dfs_, aligned_dir_)) {
-    GESALL_ASSIGN_OR_RETURN(auto bam_splits, ComputeBamSplits(*dfs_, path));
-    for (const auto& bs : bam_splits) {
-      InputSplit s;
-      Dfs* dfs = dfs_;
-      s.load = [dfs, path, bs]() {
-        return ReadBamSplitRecords(*dfs, path, bs);
-      };
-      s.preferred_node = bs.preferred_nodes.empty() ? -1
-                                                    : bs.preferred_nodes[0];
-      splits.push_back(std::move(s));
-    }
-  }
-  JobConfig job_cfg = MakeJobConfig(config_.cleaning_reducers);
-  if (config_.use_combiners) {
-    job_cfg.combiner_factory = [] {
-      return std::make_unique<FixMateCombiner>();
-    };
-  }
-  auto sink = PartitionSink::Arm(&job_cfg, dfs_, cleaned_dir_, header_);
-  MapReduceJob job(job_cfg);
-  const SamHeader* header = &header_;
-  ReadGroup rg = config_.read_group;
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult result,
-      job.Run(
-          splits,
-          [header, rg] { return std::make_unique<CleaningMapper>(header, rg); },
-          [] { return std::make_unique<FixMateReducer>(); }));
-  GESALL_RETURN_NOT_OK(sink->Commit());
-  stats_.push_back({"round2_cleaning", clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  GESALL_RETURN_NOT_OK(SealRound(kRoundCleaning, "round2_cleaning"));
-  return MaybeTick();
-}
-
-Result<std::string> GesallPipeline::BuildBloomFilter() {
-  Stopwatch clock;
-  std::vector<InputSplit> splits;
-  for (const auto& path : ListBams(*dfs_, cleaned_dir_)) {
-    InputSplit s;
-    Dfs* dfs = dfs_;
-    s.load = [dfs, path]() { return dfs->Read(path); };
-    splits.push_back(std::move(s));
-  }
-  MapReduceJob job(MakeJobConfig(0));
-  size_t expected = config_.bloom_expected_items;
-  double fpr = config_.bloom_fpr;
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult result, job.RunMapOnly(splits, [expected, fpr] {
-        return std::make_unique<BloomMapper>(expected, fpr);
-      }));
-  BloomFilter merged(expected, fpr);
-  for (const auto& out : result.reducer_outputs) {
-    for (const auto& v : out) {
-      GESALL_ASSIGN_OR_RETURN(BloomFilter f, BloomFilter::Deserialize(v));
-      GESALL_RETURN_NOT_OK(merged.Union(f));
-    }
-  }
-  stats_.push_back({"round3_bloom_preround", clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  return merged.Serialize();
-}
-
-Status GesallPipeline::RunRound3MarkDuplicates() {
-  const std::string round3_name = config_.markdup_use_bloom
-                                      ? "round3_markdup_opt"
-                                      : "round3_markdup_reg";
-  if (SkipIfSealed(kRoundMarkDuplicates, round3_name)) return MaybeTick();
-  std::unique_ptr<BloomFilter> bloom;
-  if (config_.markdup_use_bloom) {
-    GESALL_ASSIGN_OR_RETURN(std::string serialized, BuildBloomFilter());
-    GESALL_ASSIGN_OR_RETURN(BloomFilter f,
-                            BloomFilter::Deserialize(serialized));
-    bloom = std::make_unique<BloomFilter>(std::move(f));
-  }
-  // The pre-round records its own wall, so the round walls tile RunAll.
-  Stopwatch clock;
-
-  // Logical partition inputs: whole cleaned files (map benefits from the
-  // read-name grouping of the previous round, Appendix A.2).
-  std::vector<InputSplit> splits;
-  for (const auto& path : ListBams(*dfs_, cleaned_dir_)) {
-    InputSplit s;
-    Dfs* dfs = dfs_;
-    s.load = [dfs, path]() { return dfs->Read(path); };
-    s.preferred_node =
-        LogicalPartitionPlacementPolicy::PrimaryNodeFor(path,
-                                                        dfs_->num_data_nodes());
-    splits.push_back(std::move(s));
-  }
-  JobConfig job_cfg = MakeJobConfig(config_.markdup_reducers);
-  if (config_.use_combiners) {
-    job_cfg.combiner_factory = [] {
-      return std::make_unique<MarkDupCombiner>();
-    };
-  }
-  auto sink = PartitionSink::Arm(&job_cfg, dfs_, dedup_dir_, header_);
-  MapReduceJob job(job_cfg);
-  const BloomFilter* bloom_ptr = bloom.get();
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult result,
-      job.Run(
-          splits,
-          [bloom_ptr] { return std::make_unique<MarkDupMapper>(bloom_ptr); },
-          [] { return std::make_unique<MarkDupReducer>(); }));
-  GESALL_RETURN_NOT_OK(sink->Commit());
-  stats_.push_back({round3_name, clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  GESALL_RETURN_NOT_OK(SealRound(kRoundMarkDuplicates, round3_name));
-  return MaybeTick();
-}
-
-Status GesallPipeline::RunRecalibrationRounds() {
-  if (SkipIfSealed(kRoundRecalibration, "round3.5_print_reads")) {
-    return MaybeTick();
-  }
-  Stopwatch clock;
-  auto make_splits = [this] {
-    std::vector<InputSplit> splits;
-    for (const auto& path : ListBams(*dfs_, dedup_dir_)) {
-      InputSplit s;
-      Dfs* dfs = dfs_;
-      s.load = [dfs, path]() { return dfs->Read(path); };
-      splits.push_back(std::move(s));
-    }
-    return splits;
-  };
-
-  // Round 3.5a: per-partition covariate tables, merged by the driver
-  // (GDPT group partitioning by user-defined covariates, §3.2).
-  MapReduceJob build_job(MakeJobConfig(0));
-  const ReferenceGenome* reference = reference_;
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult build_result,
-      build_job.RunMapOnly(make_splits(), [reference] {
-        return std::make_unique<RecalTableMapper>(reference);
-      }));
-  RecalibrationTable merged;
-  for (const auto& out : build_result.reducer_outputs) {
-    for (const auto& v : out) {
-      GESALL_ASSIGN_OR_RETURN(RecalibrationTable t,
-                              RecalibrationTable::Deserialize(v));
-      merged.Merge(t);
-    }
-  }
-  stats_.push_back({"round3.5_base_recalibrator", clock.ElapsedSeconds(),
-                    std::move(build_result.counters),
-                    std::move(build_result.tasks)});
-
-  // Round 3.5b: PrintReads with the merged table.
-  Stopwatch apply_clock;
-  MapReduceJob apply_job(MakeJobConfig(0));
-  const RecalibrationTable* table = &merged;
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult apply_result,
-      apply_job.RunMapOnly(make_splits(), [table] {
-        return std::make_unique<RecalApplyMapper>(table);
-      }));
-  std::vector<std::string> outputs;
-  for (auto& out : apply_result.reducer_outputs) {
-    if (!out.empty()) outputs.push_back(std::move(out[0]));
-  }
-  GESALL_RETURN_NOT_OK(WritePartitions(recal_dir_, outputs));
-  stats_.push_back({"round3.5_print_reads", apply_clock.ElapsedSeconds(),
-                    std::move(apply_result.counters),
-                    std::move(apply_result.tasks)});
-  GESALL_RETURN_NOT_OK(
-      SealRound(kRoundRecalibration, "round3.5_print_reads"));
-  return MaybeTick();
-}
-
-Status GesallPipeline::RunRound4Sort() {
-  if (SkipIfSealed(kRoundSort, "round4_sort")) return MaybeTick();
-  Stopwatch clock;
-  // Input: recalibrated partitions when the optional rounds ran.
-  std::string input_dir =
-      ListBams(*dfs_, recal_dir_).empty() ? dedup_dir_ : recal_dir_;
-  std::vector<InputSplit> splits;
-  for (const auto& path : ListBams(*dfs_, input_dir)) {
-    InputSplit s;
-    Dfs* dfs = dfs_;
-    s.load = [dfs, path]() { return dfs->Read(path); };
-    splits.push_back(std::move(s));
-  }
-  const int C = static_cast<int>(reference_->chromosomes.size());
-  std::vector<std::string> boundaries;
-  for (int c = 1; c < C; ++c) {
-    boundaries.push_back(EncodeCoordinateBoundary(c, 0));
-  }
-  boundaries.push_back("\x7f");  // unmapped records partition
-  RangePartitioner partitioner(boundaries);
-  JobConfig job_cfg = MakeJobConfig(C + 1);
-  SamHeader sorted_header = header_;
-  sorted_header.sort_order = "coordinate";
-  // The linear index sidecar per sorted partition lets the
-  // overlapping-segment Round 5 read only the relevant chunk ranges.
-  auto sink = PartitionSink::Arm(&job_cfg, dfs_, sorted_dir_, sorted_header,
-                                 /*indexed=*/true);
-  MapReduceJob job(job_cfg);
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult result,
-      job.Run(
-          splits, [] { return std::make_unique<SortMapper>(); },
-          [] { return std::make_unique<IdentityReducer>(); }, &partitioner));
-  GESALL_RETURN_NOT_OK(sink->Commit());
-  stats_.push_back({"round4_sort", clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  GESALL_RETURN_NOT_OK(SealRound(kRoundSort, "round4_sort"));
-  return MaybeTick();
-}
-
-Result<std::vector<VariantRecord>> GesallPipeline::RunRound5VariantCalling() {
-  const std::string round5_name =
-      config_.variant_caller == PipelineConfig::VariantCaller::kUnifiedGenotyper
-          ? "round5_unified_genotyper"
-          : "round5_haplotype_caller";
-  if (config_.resume && RoundComplete(kRoundVariants)) {
+Status GesallPipeline::SkipRound(const RoundJob& job, Drive* d) {
+  if (job.round == kRoundVariants) {
     // The sealed round persisted its calls under variants/: reload them
     // instead of re-running the callers.
     GESALL_ASSIGN_OR_RETURN(std::string raw,
                             dfs_->Read(variants_dir_ + "calls.bin"));
-    std::vector<VariantRecord> variants;
-    size_t offset = 0;
-    while (offset < raw.size()) {
-      GESALL_ASSIGN_OR_RETURN(VariantRecord rec,
-                              DecodeVariantBinary(raw, &offset));
-      variants.push_back(std::move(rec));
-    }
-    JobCounters counters;
-    counters.Add("round_skipped_on_resume", 1);
-    stats_.push_back({round5_name, 0.0, std::move(counters), {}});
-    if (config_.on_round_complete) {
-      config_.on_round_complete(kRoundVariants, round5_name);
-    }
-    GESALL_RETURN_NOT_OK(MaybeTick());
-    return variants;
+    GESALL_RETURN_NOT_OK(DecodeVariants(raw, &d->variants));
   }
-  Stopwatch clock;
-  const int C = static_cast<int>(reference_->chromosomes.size());
-  std::vector<InputSplit> splits;
-  for (int c = 0; c < C; ++c) {
-    std::string path = PartPath(sorted_dir_, c) + ".bam";
-    if (!dfs_->Exists(path)) continue;
-    int64_t chrom_len =
-        static_cast<int64_t>(reference_->chromosomes[c].sequence.size());
-    Dfs* dfs = dfs_;
-    if (config_.hc_partitioning == PipelineConfig::HcPartitioning::kChromosome) {
-      InputSplit s;
-      s.load = [dfs, path, c, chrom_len]() -> Result<std::string> {
-        GESALL_ASSIGN_OR_RETURN(std::string bam, dfs->Read(path));
-        return EncodeHcEnvelope(c, 0, chrom_len, 0, chrom_len,
-                                std::move(bam));
-      };
-      splits.push_back(std::move(s));
-    } else {
-      const int S = std::max(1, config_.hc_segments_per_chromosome);
-      const int64_t overlap =
-          config_.hc.max_window + config_.hc.window_pad;
-      for (int seg = 0; seg < S; ++seg) {
-        int64_t emit_start = chrom_len * seg / S;
-        int64_t emit_end = chrom_len * (seg + 1) / S;
-        int64_t start = std::max<int64_t>(0, emit_start - overlap);
-        int64_t end = std::min(chrom_len, emit_end + overlap);
-        InputSplit s;
-        std::string index_path = PartPath(sorted_dir_, c) + ".bai";
-        SamHeader header = header_;
-        s.load = [dfs, path, index_path, header, c, start, end, emit_start,
-                  emit_end]() -> Result<std::string> {
-          GESALL_ASSIGN_OR_RETURN(std::string bam, dfs->Read(path));
-          if (dfs->Exists(index_path)) {
-            // Use the Round-4 linear index to carry only the records
-            // overlapping this segment.
-            GESALL_ASSIGN_OR_RETURN(std::string raw, dfs->Read(index_path));
-            GESALL_ASSIGN_OR_RETURN(LinearBamIndex index,
-                                    LinearBamIndex::Deserialize(raw));
-            GESALL_ASSIGN_OR_RETURN(
-                std::vector<SamRecord> region,
-                ReadBamRegion(bam, index, start, end));
-            GESALL_ASSIGN_OR_RETURN(std::string subset,
-                                    WriteBam(header, region));
-            return EncodeHcEnvelope(c, start, end, emit_start, emit_end,
-                                    std::move(subset));
-          }
-          return EncodeHcEnvelope(c, start, end, emit_start, emit_end,
-                                  std::move(bam));
-        };
-        splits.push_back(std::move(s));
-      }
-    }
+  JobCounters counters;
+  counters.Add("round_skipped_on_resume", 1);
+  stats_.push_back({job.name, 0.0, std::move(counters), {}});
+  const double now = d->wall.ElapsedSeconds();
+  execution_.rounds.push_back({job.name, now, now});
+  if (config_.on_round_complete) {
+    config_.on_round_complete(job.round, job.name);
   }
-  MapReduceJob job(MakeJobConfig(0));
-  const ReferenceGenome* reference = reference_;
-  MapperFactory factory;
-  if (config_.variant_caller == PipelineConfig::VariantCaller::
-                                    kUnifiedGenotyper) {
-    GenotyperOptions ug = config_.ug;
-    factory = [reference, ug] {
-      return std::make_unique<UnifiedGenotyperMapper>(reference, ug);
-    };
-  } else {
-    HaplotypeCallerOptions hc = config_.hc;
-    factory = [reference, hc] {
-      return std::make_unique<HaplotypeCallerMapper>(reference, hc);
-    };
-  }
-  GESALL_ASSIGN_OR_RETURN(JobResult result,
-                          job.RunMapOnly(splits, factory));
-  std::vector<VariantRecord> variants;
-  for (const auto& out : result.reducer_outputs) {
-    for (const auto& v : out) {
-      size_t offset = 0;
-      GESALL_ASSIGN_OR_RETURN(VariantRecord rec,
-                              DecodeVariantBinary(v, &offset));
-      variants.push_back(std::move(rec));
-    }
-  }
-  std::sort(variants.begin(), variants.end(), VariantLess);
-  stats_.push_back({round5_name, clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  if (config_.write_manifests) {
-    // Variants are otherwise in-memory only; persist them so a resumed
-    // job whose final round already finished returns identical calls.
-    std::string blob;
-    for (const auto& v : variants) blob += EncodeVariantBinary(v);
-    GESALL_RETURN_NOT_OK(dfs_->Write(variants_dir_ + "calls.bin", blob));
-  }
-  GESALL_RETURN_NOT_OK(SealRound(kRoundVariants, round5_name));
-  GESALL_RETURN_NOT_OK(MaybeTick());
-  return variants;
+  return MaybeTick();
+}
+
+Status GesallPipeline::RunRound1Alignment() {
+  return RunRounds(kRoundAlignment, kRoundAlignment).status();
+}
+
+Status GesallPipeline::RunRound2Cleaning() {
+  return RunRounds(kRoundCleaning, kRoundCleaning).status();
+}
+
+Status GesallPipeline::RunRound3MarkDuplicates() {
+  return RunRounds(kRoundMarkDuplicates, kRoundMarkDuplicates).status();
+}
+
+Status GesallPipeline::RunRecalibrationRounds() {
+  return RunRounds(kRoundRecalibration, kRoundRecalibration).status();
+}
+
+Status GesallPipeline::RunRound4Sort() {
+  return RunRounds(kRoundSort, kRoundSort).status();
+}
+
+Result<std::vector<VariantRecord>> GesallPipeline::RunRound5VariantCalling() {
+  return RunRounds(kRoundVariants, kRoundVariants);
 }
 
 Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
   Executor* executor =
       config_.executor != nullptr ? config_.executor : Executor::Shared();
   const ExecutorStats before = executor->stats();
-  const size_t first_round = stats_.size();
-  // Resume consults manifests at round barriers, so a resumed run always
-  // executes barriered even when the config asks for overlap.
+  // Resume consults manifests before any job starts and skips whole
+  // rounds, so a resumed run always executes barriered.
   const bool pipelined_run = config_.pipelined && !config_.resume;
   execution_ = ExecutionSummary{};
   execution_.pipelined = pipelined_run;
   execution_.streaming = pipelined_run && config_.streaming;
   Stopwatch wall;
   Result<std::vector<VariantRecord>> result =
-      pipelined_run ? RunAllPipelined() : RunAllBarriered();
+      RunRounds(kRoundAlignment, kRoundVariants, pipelined_run);
   execution_.wall_seconds = wall.ElapsedSeconds();
   if (!result.ok() && result.status().IsCancelled() &&
       !config_.preserve_outputs_on_cancel) {
@@ -1353,17 +1540,6 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
   // allocator hooks in util/mem.h).
   execution_.peak_rss_bytes = PeakRssBytes();
 
-  // Barriered rounds execute back to back: derive their spans from the
-  // recorded round walls. The pipelined path records real spans itself.
-  if (!pipelined_run) {
-    double at = 0;
-    for (size_t i = first_round; i < stats_.size(); ++i) {
-      execution_.rounds.push_back(
-          {stats_[i].name, at, at + stats_[i].wall_seconds});
-      at += stats_[i].wall_seconds;
-    }
-  }
-
   // Round-level DAG: each recorded round depends on the previous one
   // (the order rounds were awaited is the dependency spine), so the
   // critical path is the serialized bound overlap is measured against.
@@ -1382,491 +1558,6 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
   execution_.overlap_seconds_saved = std::max(
       0.0, execution_.serialized_round_seconds - execution_.wall_seconds);
   return result;
-}
-
-Result<std::vector<VariantRecord>> GesallPipeline::RunAllBarriered() {
-  GESALL_RETURN_NOT_OK(RunRound1Alignment());
-  GESALL_RETURN_NOT_OK(RunRound2Cleaning());
-  GESALL_RETURN_NOT_OK(RunRound3MarkDuplicates());
-  if (config_.run_recalibration) {
-    GESALL_RETURN_NOT_OK(RunRecalibrationRounds());
-  }
-  GESALL_RETURN_NOT_OK(RunRound4Sort());
-  return RunRound5VariantCalling();
-}
-
-Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
-  Executor* executor =
-      config_.executor != nullptr ? config_.executor : Executor::Shared();
-  // One shared admission throttle: max_parallel_tasks is a global task
-  // slot budget across the overlapped rounds, matching the barriered
-  // engine where only one round holds slots at a time.
-  auto throttle = std::make_shared<Throttle>(
-      executor, std::max(1, config_.max_parallel_tasks));
-  Stopwatch wall;
-
-  // ---- Round 1. Streaming fuses it into the round-2 job below (the
-  // aligned stage never exists on the DFS); otherwise it runs barriered
-  // first, since round 2's split computation needs the aligned files.
-  const bool streaming = config_.streaming;
-  if (!streaming) {
-    GESALL_RETURN_NOT_OK(RunRound1Alignment());
-    execution_.rounds.push_back(
-        {"round1_alignment", 0.0, wall.ElapsedSeconds()});
-  }
-
-  const int R2 = std::max(1, config_.cleaning_reducers);
-  const int R3 = std::max(1, config_.markdup_reducers);
-  const int C = static_cast<int>(reference_->chromosomes.size());
-  Dfs* dfs = dfs_;
-
-  // Per-partition readiness edges between rounds. A downstream gated
-  // split is admitted the moment its upstream partition file is on DFS.
-  std::vector<std::shared_ptr<ReadySignal>> ev_cleaned;
-  std::vector<std::shared_ptr<ReadySignal>> ev_dedup;
-  std::vector<std::shared_ptr<ReadySignal>> ev_sorted;
-  for (int r = 0; r < R2; ++r) {
-    ev_cleaned.push_back(std::make_shared<ReadySignal>());
-  }
-  for (int r = 0; r < R3; ++r) {
-    ev_dedup.push_back(std::make_shared<ReadySignal>());
-  }
-  for (int c = 0; c < C + 1; ++c) {
-    ev_sorted.push_back(std::make_shared<ReadySignal>());
-  }
-
-  std::optional<MapReduceJob::Handle> h2, h3a, h3, h4, h5;
-  // Error path: release every gate (so gated splits are admitted and
-  // their jobs can finish failing) and drain every outstanding handle —
-  // running tasks capture locals of this frame, so returning before
-  // they complete would be a use-after-free.
-  auto fail = [&](Status error) -> Status {
-    for (auto& e : ev_cleaned) e->Notify();
-    for (auto& e : ev_dedup) e->Notify();
-    for (auto& e : ev_sorted) e->Notify();
-    for (auto* h : {&h2, &h3a, &h3, &h4, &h5}) {
-      if (h->has_value()) {
-        (void)(*h)->Wait();
-        h->reset();
-      }
-    }
-    return error;
-  };
-
-  // ---- Round 2 cleaning: reduce partitions stream to DFS as they
-  // finish, each releasing the bloom pre-round's matching map split.
-  double t2_start = wall.ElapsedSeconds();
-  std::vector<InputSplit> splits2;
-  if (streaming) {
-    // Fused rounds 1+2: each map task pumps its FASTQ partition through
-    // the bounded-queue node graph (align + clean) and emits cleaned
-    // records straight into the qname shuffle. Batch slicing matches
-    // AlignPairs' own boundaries, so the shuffled records — and every
-    // downstream stage — are byte-identical to the barriered path's.
-    std::vector<std::string> inputs = dfs_->List(input_dir_);
-    if (inputs.empty()) {
-      return Status::InvalidArgument("no input partitions");
-    }
-    const GenomeIndex* index = index_;
-    PairedAlignerOptions opt = config_.aligner;
-    const SamHeader* hdr = &header_;
-    ReadGroup stream_rg = config_.read_group;
-    std::shared_ptr<CancelToken> cancel = config_.cancel;
-    for (const auto& path : inputs) {
-      InputSplit s;
-      s.stream = [dfs, path, index, opt, hdr, stream_rg, cancel,
-                  executor](MapContext* ctx) -> Status {
-        GESALL_ASSIGN_OR_RETURN(std::string text, dfs->Read(path));
-        ctx->IncrementCounter("map_input_bytes",
-                              static_cast<int64_t>(text.size()));
-        std::vector<FastqRecord> reads;
-        {
-          CounterTimer timer(ctx, kTransformMicros);
-          GESALL_ASSIGN_OR_RETURN(reads, ParseFastq(text));
-        }
-        text.clear();
-        text.shrink_to_fit();
-        AlignCleanStreamOptions sopts;
-        sopts.executor = executor;
-        sopts.cancel = cancel;
-        sopts.clean = true;
-        sopts.header = hdr;
-        sopts.read_group = stream_rg;
-        AlignCleanStreamStats sstats;
-        GESALL_RETURN_NOT_OK(RunAlignCleanStream(
-            *index, opt, std::move(reads), sopts,
-            [ctx](RecordBatch* batch) {
-              CounterTimer timer(ctx, kTransformMicros);
-              for (const auto& r : batch->records) {
-                ctx->EmitView(r.qname, EncodeBamRecord(r));
-              }
-              return Status::OK();
-            },
-            &sstats));
-        EmitStreamCounters(ctx, sstats);
-        return Status::OK();
-      };
-      splits2.push_back(std::move(s));
-    }
-  } else {
-    for (const auto& path : ListBams(*dfs_, aligned_dir_)) {
-      GESALL_ASSIGN_OR_RETURN(auto bam_splits, ComputeBamSplits(*dfs_, path));
-      for (const auto& bs : bam_splits) {
-        InputSplit s;
-        s.load = [dfs, path, bs]() {
-          return ReadBamSplitRecords(*dfs, path, bs);
-        };
-        s.preferred_node = bs.preferred_nodes.empty()
-                               ? -1
-                               : bs.preferred_nodes[0];
-        splits2.push_back(std::move(s));
-      }
-    }
-  }
-  JobConfig cfg2 = MakeJobConfig(R2);
-  cfg2.executor = executor;
-  cfg2.throttle = throttle;
-  if (config_.use_combiners) {
-    cfg2.combiner_factory = [] {
-      return std::make_unique<FixMateCombiner>();
-    };
-  }
-  // Partition-output callbacks run on executor workers and cannot
-  // return a status; each sink parks its first failure, re-checked after
-  // its job completes.
-  auto sink2 = PartitionSink::Arm(&cfg2, dfs, cleaned_dir_, header_,
-                                  /*indexed=*/false, ev_cleaned);
-  MapReduceJob job2(cfg2);
-  const SamHeader* header = &header_;
-  ReadGroup rg = config_.read_group;
-  MapperFactory map2;
-  if (streaming) {
-    map2 = []() -> std::unique_ptr<Mapper> {
-      return std::make_unique<StreamedRoundMapper>();
-    };
-  } else {
-    map2 = [header, rg]() -> std::unique_ptr<Mapper> {
-      return std::make_unique<CleaningMapper>(header, rg);
-    };
-  }
-  h2 = job2.Start(splits2, map2,
-                  [] { return std::make_unique<FixMateReducer>(); });
-
-  // ---- Round 3 bloom pre-round, overlapped with round 2: each map
-  // split is gated on its cleaned partition.
-  double t3a_start = wall.ElapsedSeconds();
-  JobConfig cfg3a = MakeJobConfig(0);
-  cfg3a.executor = executor;
-  cfg3a.throttle = throttle;
-  MapReduceJob job3a(cfg3a);
-  if (config_.markdup_use_bloom) {
-    std::vector<InputSplit> splits3a;
-    for (int r = 0; r < R2; ++r) {
-      std::string path = PartPath(cleaned_dir_, r) + ".bam";
-      InputSplit s;
-      s.load = [dfs, path]() { return dfs->Read(path); };
-      s.ready = ev_cleaned[static_cast<size_t>(r)];
-      splits3a.push_back(std::move(s));
-    }
-    size_t expected = config_.bloom_expected_items;
-    double fpr = config_.bloom_fpr;
-    h3a = job3a.StartMapOnly(splits3a, [expected, fpr] {
-      return std::make_unique<BloomMapper>(expected, fpr);
-    });
-  }
-
-  // ---- Await round 2.
-  {
-    Result<JobResult> out = h2->Wait();
-    h2.reset();
-    if (!out.ok()) return fail(out.status());
-    JobResult result = out.MoveValueUnsafe();
-    const std::string round2_name =
-        streaming ? "round1_2_streamed" : "round2_cleaning";
-    stats_.push_back({round2_name, wall.ElapsedSeconds() - t2_start,
-                      std::move(result.counters), std::move(result.tasks)});
-    execution_.rounds.push_back(
-        {round2_name, t2_start, wall.ElapsedSeconds()});
-  }
-  {
-    Status s = sink2->status();
-    if (s.ok()) s = MaybeTick();
-    if (!s.ok()) return fail(s);
-  }
-
-  // ---- Await the bloom pre-round and merge the per-mapper filters.
-  std::unique_ptr<BloomFilter> bloom;
-  if (h3a.has_value()) {
-    Result<JobResult> out = h3a->Wait();
-    h3a.reset();
-    if (!out.ok()) return fail(out.status());
-    JobResult result = out.MoveValueUnsafe();
-    BloomFilter merged(config_.bloom_expected_items, config_.bloom_fpr);
-    for (const auto& part : result.reducer_outputs) {
-      for (const auto& v : part) {
-        Result<BloomFilter> f = BloomFilter::Deserialize(v);
-        if (!f.ok()) return fail(f.status());
-        Status s = merged.Union(f.ValueOrDie());
-        if (!s.ok()) return fail(s);
-      }
-    }
-    bloom = std::make_unique<BloomFilter>(std::move(merged));
-    stats_.push_back({"round3_bloom_preround",
-                      wall.ElapsedSeconds() - t3a_start,
-                      std::move(result.counters), std::move(result.tasks)});
-    execution_.rounds.push_back(
-        {"round3_bloom_preround", t3a_start, wall.ElapsedSeconds()});
-  }
-
-  // ---- Round 3 MarkDuplicates: reduce partitions release round 4's
-  // matching sort split as they land on DFS.
-  double t3_start = wall.ElapsedSeconds();
-  std::vector<InputSplit> splits3;
-  for (const auto& path : ListBams(*dfs_, cleaned_dir_)) {
-    InputSplit s;
-    s.load = [dfs, path]() { return dfs->Read(path); };
-    s.preferred_node = LogicalPartitionPlacementPolicy::PrimaryNodeFor(
-        path, dfs_->num_data_nodes());
-    splits3.push_back(std::move(s));
-  }
-  JobConfig cfg3 = MakeJobConfig(R3);
-  cfg3.executor = executor;
-  cfg3.throttle = throttle;
-  if (config_.use_combiners) {
-    cfg3.combiner_factory = [] {
-      return std::make_unique<MarkDupCombiner>();
-    };
-  }
-  auto sink3 = PartitionSink::Arm(&cfg3, dfs, dedup_dir_, header_,
-                                  /*indexed=*/false, ev_dedup);
-  MapReduceJob job3(cfg3);
-  const BloomFilter* bloom_ptr = bloom.get();
-  h3 = job3.Start(
-      splits3,
-      [bloom_ptr] { return std::make_unique<MarkDupMapper>(bloom_ptr); },
-      [] { return std::make_unique<MarkDupReducer>(); });
-
-  // ---- Round 4 sort. Without recalibration it overlaps round 3: each
-  // map split is gated on its dedup partition. The recalibration rounds
-  // are driver-merged (the covariate table is global), so with them
-  // enabled rounds 3.5 run barriered and round 4 starts ungated after.
-  SamHeader sorted_header = header_;
-  sorted_header.sort_order = "coordinate";
-  std::vector<std::string> boundaries;
-  for (int c = 1; c < C; ++c) {
-    boundaries.push_back(EncodeCoordinateBoundary(c, 0));
-  }
-  boundaries.push_back("\x7f");  // unmapped records partition
-  RangePartitioner partitioner(boundaries);
-  JobConfig cfg4 = MakeJobConfig(C + 1);
-  cfg4.executor = executor;
-  cfg4.throttle = throttle;
-  // The .bai sidecar is on DFS before the chromosome's HC split is
-  // released.
-  auto sink4 = PartitionSink::Arm(&cfg4, dfs, sorted_dir_, sorted_header,
-                                  /*indexed=*/true, ev_sorted);
-  MapReduceJob job4(cfg4);
-  double t4_start = 0;
-  auto start_round4 = [&](const std::string& input_dir, bool gated) {
-    t4_start = wall.ElapsedSeconds();
-    std::vector<InputSplit> splits4;
-    if (gated) {
-      for (int r = 0; r < R3; ++r) {
-        std::string path = PartPath(input_dir, r) + ".bam";
-        InputSplit s;
-        s.load = [dfs, path]() { return dfs->Read(path); };
-        s.ready = ev_dedup[static_cast<size_t>(r)];
-        splits4.push_back(std::move(s));
-      }
-    } else {
-      for (const auto& path : ListBams(*dfs_, input_dir)) {
-        InputSplit s;
-        s.load = [dfs, path]() { return dfs->Read(path); };
-        splits4.push_back(std::move(s));
-      }
-    }
-    h4 = job4.Start(
-        splits4, [] { return std::make_unique<SortMapper>(); },
-        [] { return std::make_unique<IdentityReducer>(); }, &partitioner);
-  };
-
-  // ---- Round 5 variant calling, overlapped with round 4: the HC split
-  // (or all segment splits) of chromosome c waits only for round 4 to
-  // sort and index that chromosome's partition.
-  double t5_start = 0;
-  JobConfig cfg5 = MakeJobConfig(0);
-  cfg5.executor = executor;
-  cfg5.throttle = throttle;
-  MapReduceJob job5(cfg5);
-  auto start_round5 = [&] {
-    t5_start = wall.ElapsedSeconds();
-    std::vector<InputSplit> splits5;
-    for (int c = 0; c < C; ++c) {
-      std::string path = PartPath(sorted_dir_, c) + ".bam";
-      int64_t chrom_len =
-          static_cast<int64_t>(reference_->chromosomes[c].sequence.size());
-      if (config_.hc_partitioning ==
-          PipelineConfig::HcPartitioning::kChromosome) {
-        InputSplit s;
-        s.load = [dfs, path, c, chrom_len]() -> Result<std::string> {
-          GESALL_ASSIGN_OR_RETURN(std::string bam, dfs->Read(path));
-          return EncodeHcEnvelope(c, 0, chrom_len, 0, chrom_len,
-                                  std::move(bam));
-        };
-        s.ready = ev_sorted[static_cast<size_t>(c)];
-        splits5.push_back(std::move(s));
-      } else {
-        const int S = std::max(1, config_.hc_segments_per_chromosome);
-        const int64_t overlap =
-            config_.hc.max_window + config_.hc.window_pad;
-        for (int seg = 0; seg < S; ++seg) {
-          int64_t emit_start = chrom_len * seg / S;
-          int64_t emit_end = chrom_len * (seg + 1) / S;
-          int64_t start = std::max<int64_t>(0, emit_start - overlap);
-          int64_t end = std::min(chrom_len, emit_end + overlap);
-          InputSplit s;
-          std::string index_path = PartPath(sorted_dir_, c) + ".bai";
-          SamHeader split_header = header_;
-          s.load = [dfs, path, index_path, split_header, c, start, end,
-                    emit_start, emit_end]() -> Result<std::string> {
-            GESALL_ASSIGN_OR_RETURN(std::string bam, dfs->Read(path));
-            if (dfs->Exists(index_path)) {
-              GESALL_ASSIGN_OR_RETURN(std::string raw,
-                                      dfs->Read(index_path));
-              GESALL_ASSIGN_OR_RETURN(LinearBamIndex index,
-                                      LinearBamIndex::Deserialize(raw));
-              GESALL_ASSIGN_OR_RETURN(
-                  std::vector<SamRecord> region,
-                  ReadBamRegion(bam, index, start, end));
-              GESALL_ASSIGN_OR_RETURN(std::string subset,
-                                      WriteBam(split_header, region));
-              return EncodeHcEnvelope(c, start, end, emit_start, emit_end,
-                                      std::move(subset));
-            }
-            return EncodeHcEnvelope(c, start, end, emit_start, emit_end,
-                                    std::move(bam));
-          };
-          s.ready = ev_sorted[static_cast<size_t>(c)];
-          splits5.push_back(std::move(s));
-        }
-      }
-    }
-    const ReferenceGenome* reference = reference_;
-    MapperFactory factory;
-    if (config_.variant_caller ==
-        PipelineConfig::VariantCaller::kUnifiedGenotyper) {
-      GenotyperOptions ug = config_.ug;
-      factory = [reference, ug] {
-        return std::make_unique<UnifiedGenotyperMapper>(reference, ug);
-      };
-    } else {
-      HaplotypeCallerOptions hc = config_.hc;
-      factory = [reference, hc] {
-        return std::make_unique<HaplotypeCallerMapper>(reference, hc);
-      };
-    }
-    h5 = job5.StartMapOnly(splits5, factory);
-  };
-
-  if (!config_.run_recalibration) {
-    start_round4(dedup_dir_, /*gated=*/true);
-    start_round5();
-  }
-
-  // ---- Await round 3.
-  {
-    Result<JobResult> out = h3->Wait();
-    h3.reset();
-    if (!out.ok()) return fail(out.status());
-    JobResult result = out.MoveValueUnsafe();
-    stats_.push_back({config_.markdup_use_bloom ? "round3_markdup_opt"
-                                                : "round3_markdup_reg",
-                      wall.ElapsedSeconds() - t3_start,
-                      std::move(result.counters), std::move(result.tasks)});
-    execution_.rounds.push_back({stats_.back().name, t3_start,
-                                 wall.ElapsedSeconds()});
-  }
-  {
-    Status s = sink3->status();
-    if (s.ok()) s = MaybeTick();
-    if (!s.ok()) return fail(s);
-  }
-
-  // ---- Optional recalibration (barriered: the merged covariate table
-  // is a global barrier by construction), then the gated tail.
-  if (config_.run_recalibration) {
-    double recal_start = wall.ElapsedSeconds();
-    size_t before_recal = stats_.size();
-    Status s = RunRecalibrationRounds();
-    if (!s.ok()) return fail(s);
-    double at = recal_start;
-    for (size_t i = before_recal; i < stats_.size(); ++i) {
-      execution_.rounds.push_back(
-          {stats_[i].name, at, at + stats_[i].wall_seconds});
-      at += stats_[i].wall_seconds;
-    }
-    std::string input_dir =
-        ListBams(*dfs_, recal_dir_).empty() ? dedup_dir_ : recal_dir_;
-    start_round4(input_dir, /*gated=*/false);
-    start_round5();
-  }
-
-  // ---- Await round 4.
-  {
-    Result<JobResult> out = h4->Wait();
-    h4.reset();
-    if (!out.ok()) return fail(out.status());
-    JobResult result = out.MoveValueUnsafe();
-    stats_.push_back({"round4_sort", wall.ElapsedSeconds() - t4_start,
-                      std::move(result.counters), std::move(result.tasks)});
-    execution_.rounds.push_back(
-        {"round4_sort", t4_start, wall.ElapsedSeconds()});
-  }
-  {
-    Status s = sink4->status();
-    if (s.ok()) s = MaybeTick();
-    if (!s.ok()) return fail(s);
-  }
-
-  // ---- Await round 5 and decode the calls.
-  std::vector<VariantRecord> variants;
-  {
-    Result<JobResult> out = h5->Wait();
-    h5.reset();
-    if (!out.ok()) return fail(out.status());
-    JobResult result = out.MoveValueUnsafe();
-    for (const auto& part : result.reducer_outputs) {
-      for (const auto& v : part) {
-        size_t offset = 0;
-        Result<VariantRecord> rec = DecodeVariantBinary(v, &offset);
-        if (!rec.ok()) return fail(rec.status());
-        variants.push_back(rec.MoveValueUnsafe());
-      }
-    }
-    std::sort(variants.begin(), variants.end(), VariantLess);
-    stats_.push_back(
-        {config_.variant_caller ==
-                 PipelineConfig::VariantCaller::kUnifiedGenotyper
-             ? "round5_unified_genotyper"
-             : "round5_haplotype_caller",
-         wall.ElapsedSeconds() - t5_start, std::move(result.counters),
-         std::move(result.tasks)});
-    execution_.rounds.push_back({stats_.back().name, t5_start,
-                                 wall.ElapsedSeconds()});
-  }
-  GESALL_RETURN_NOT_OK(MaybeTick());
-  return variants;
-}
-
-Status GesallPipeline::WritePartitions(
-    const std::string& stage, const std::vector<std::string>& bam_files) {
-  LogicalPartitionPlacementPolicy policy;
-  for (size_t i = 0; i < bam_files.size(); ++i) {
-    GESALL_RETURN_NOT_OK(dfs_->Write(
-        PartPath(stage, static_cast<int>(i)) + ".bam", bam_files[i],
-        &policy));
-  }
-  return Status::OK();
 }
 
 Result<std::vector<SamRecord>> GesallPipeline::ReadStageRecords(

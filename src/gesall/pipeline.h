@@ -85,12 +85,6 @@ struct PipelineConfig {
   PairedAlignerOptions aligner;
   HaplotypeCallerOptions hc;
 
-  /// Run Round 1 through the Hadoop-Streaming analog (Fig. 8: FASTQ text
-  /// -> pipe -> bwa mem -> pipe -> SamToBam) instead of calling the
-  /// aligner natively. Output is identical; pipe statistics land in the
-  /// round counters.
-  bool use_streaming_alignment = true;
-
   enum class HcPartitioning { kChromosome, kOverlappingSegments };
   HcPartitioning hc_partitioning = HcPartitioning::kChromosome;
   /// Segments per chromosome in overlapping mode (degree of parallelism
@@ -132,10 +126,12 @@ struct PipelineConfig {
   /// Overlap the five rounds in RunAll(): a round's map tasks start as
   /// soon as the upstream partition they read is written (Round 5 HC for
   /// a chromosome starts once Round 4 sorted that chromosome), instead
-  /// of barriering between rounds. Outputs, variant calls, and every
-  /// per-record counter are byte-identical either way — only wall-clock
-  /// scheduling changes. Off by default so seeded chaos runs keep their
-  /// historical round ordering.
+  /// of barriering between rounds. The gated edges are round 2 -> bloom
+  /// pre-round, round 3 -> round 4 (without recalibration) and round 4
+  /// -> round 5; edges into driver-merged rounds stay barriers. Outputs,
+  /// variant calls, and every per-record counter are byte-identical
+  /// either way — only wall-clock scheduling changes. Off by default so
+  /// seeded chaos runs keep their historical round ordering.
   bool pipelined = false;
   /// Fuse rounds 1+2 into one streamed job (effective only when
   /// `pipelined` and not resuming): every map task pumps its FASTQ
@@ -146,8 +142,8 @@ struct PipelineConfig {
   /// O(partition). Outputs, variant calls, and per-record counters are
   /// byte-identical to the barriered rounds 1+2 (batch boundaries match
   /// AlignPairs' own); the fused round always uses the native aligner.
-  /// The fused round is not sealed, so a crashed streaming run resumes
-  /// from the top of the sample rather than a round boundary.
+  /// The fused round is reported and sealed as kRoundCleaning under the
+  /// name "round1_2_streamed"; no kRoundAlignment manifest is written.
   bool streaming = false;
   /// Executor every round's tasks run on (not owned). Null selects the
   /// process-wide Executor::Shared().
@@ -176,13 +172,17 @@ struct PipelineConfig {
   /// "<dfs_root>/manifests/round-<k>", and Round 5's variant calls are
   /// additionally persisted under "<dfs_root>/variants/". On a durable
   /// Dfs the manifests survive a crash, marking the round as sealed.
+  /// Barriered, pipelined and streamed runs seal every round they run.
   bool write_manifests = false;
-  /// Consult manifests at the start of every round and skip rounds whose
-  /// listed outputs are all present with matching sizes (the skipped
-  /// round records a RoundStats entry whose only counter is
-  /// "round_skipped_on_resume"). Deterministic rounds make re-execution
-  /// and skipping byte-equivalent. Resume executes barriered: a
-  /// pipelined config falls back to the barriered path for that run.
+  /// Before the first round, find the highest round whose manifest's
+  /// listed outputs are all present with matching sizes, and skip every
+  /// round up to it (each skipped round records a RoundStats entry whose
+  /// only counter is "round_skipped_on_resume"). A round reads only its
+  /// direct upstream's outputs, which that manifest verified, so a job
+  /// sealed through the fused streamed round does not re-align.
+  /// Deterministic rounds make re-execution and skipping
+  /// byte-equivalent. Resume executes barriered: a pipelined config
+  /// falls back to barrier edges for that run.
   bool resume = false;
   /// Keep stage outputs and manifests on a cancelled RunAll() instead of
   /// deleting them. The durable service layer sets this so a
@@ -254,11 +254,32 @@ class GesallPipeline {
 
   /// Execution-engine telemetry of the last RunAll(): executor
   /// task/steal/queue-wait deltas, per-round wall spans, and the
-  /// critical path of the round DAG. Zero before RunAll() ran.
+  /// critical path of the round DAG. Zero before RunAll() ran, except
+  /// for the spans that single-round RunRoundN calls append.
   const ExecutionSummary& SummarizeExecution() const { return execution_; }
 
  private:
-  JobConfig MakeJobConfig(int reducers) const;
+  // The round driver (pipeline.cc): every round is declared once as
+  // RoundJobs in Plan(); RunRounds() runs a slice of the plan, crossing
+  // each edge between consecutive jobs as a barrier or a gate.
+  struct RoundJob;
+  struct Drive;
+  std::vector<RoundJob> Plan(Drive* drive, bool pipelined, bool recal);
+  /// Runs the planned jobs of rounds [first, last] (PipelineRound) and
+  /// returns the variant calls when kRoundVariants ran. `pipelined` turns the
+  /// gateable edges into per-partition gates and, with
+  /// config_.streaming, fuses round 1 into round 2's maps.
+  Result<std::vector<VariantRecord>> RunRounds(int first, int last,
+                                               bool pipelined = false);
+  /// The one way a job ends: await, commit its parts, record RoundStats
+  /// and its span, then, for a round's last job, seal and tick.
+  Status FinishJob(RoundJob* job, Drive* drive);
+  /// Records a round sealed by an earlier run as skipped (a RoundStats
+  /// entry whose only counter is "round_skipped_on_resume") and fires
+  /// the hook; round 5 reloads its persisted calls.
+  Status SkipRound(const RoundJob& job, Drive* drive);
+
+  JobConfig MakeJobConfig() const;
   /// End-of-round heartbeat: Dfs::Tick when config_.auto_tick, else a
   /// no-op (an external HeartbeatDriver owns the clock).
   Status MaybeTick();
@@ -271,17 +292,12 @@ class GesallPipeline {
   /// True when the round's manifest exists and every listed output is
   /// present in DFS with a matching size.
   bool RoundComplete(int round_index) const;
+  /// With config_.resume, the highest round whose manifest verifies
+  /// (every round up to it is skipped); otherwise 0.
+  int SealedThrough() const;
   /// Writes the round's manifest (when write_manifests) and fires
   /// on_round_complete.
   Status SealRound(int round_index, const std::string& name);
-  /// Resume check: when the round is already sealed, records a skipped
-  /// RoundStats entry + fires the hook and returns true.
-  bool SkipIfSealed(int round_index, const std::string& name);
-  Status WritePartitions(const std::string& stage,
-                         const std::vector<std::string>& bam_files);
-  Result<std::string> BuildBloomFilter();
-  Result<std::vector<VariantRecord>> RunAllBarriered();
-  Result<std::vector<VariantRecord>> RunAllPipelined();
 
   const ReferenceGenome* reference_;
   const GenomeIndex* index_;

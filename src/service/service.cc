@@ -65,7 +65,8 @@ void EncodeJobPayload(BufferWriter* w, JobId id, const JobSpec& spec) {
   w->PutString(p.read_group.id);
   w->PutString(p.read_group.sample);
   w->PutString(p.read_group.library);
-  w->PutU8(p.use_streaming_alignment ? 1 : 0);
+  // Retired round-1 aligner switch: always 1, kept so logs decode.
+  w->PutU8(1);
   w->PutU8(static_cast<uint8_t>(p.hc_partitioning));
   w->PutI64(p.hc_segments_per_chromosome);
   w->PutU8(static_cast<uint8_t>(p.variant_caller));
@@ -106,8 +107,7 @@ Status DecodeJobPayload(BufferReader* r, JobId* id, JobSpec* spec) {
   GESALL_RETURN_NOT_OK(r->GetString(&p.read_group.id));
   GESALL_RETURN_NOT_OK(r->GetString(&p.read_group.sample));
   GESALL_RETURN_NOT_OK(r->GetString(&p.read_group.library));
-  GESALL_RETURN_NOT_OK(r->GetU8(&u8));
-  p.use_streaming_alignment = u8 != 0;
+  GESALL_RETURN_NOT_OK(r->GetU8(&u8));  // retired aligner switch
   GESALL_RETURN_NOT_OK(r->GetU8(&u8));
   p.hc_partitioning = static_cast<PipelineConfig::HcPartitioning>(u8);
   GESALL_RETURN_NOT_OK(r->GetI64(&i64));

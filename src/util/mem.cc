@@ -13,6 +13,7 @@ namespace gesall {
 namespace {
 std::atomic<int64_t> g_live_bytes{0};
 std::atomic<int64_t> g_peak_bytes{0};
+std::atomic<int64_t> g_alloc_count{0};
 std::atomic<bool> g_tracking_active{false};
 }  // namespace
 
@@ -49,6 +50,7 @@ namespace memhooks {
 
 void RecordAlloc(size_t bytes) {
   g_tracking_active.store(true, std::memory_order_relaxed);
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   int64_t live = g_live_bytes.fetch_add(static_cast<int64_t>(bytes),
                                         std::memory_order_relaxed) +
                  static_cast<int64_t>(bytes);
@@ -77,6 +79,10 @@ int64_t PeakAllocBytes() {
 void ResetPeakAllocBytes() {
   g_peak_bytes.store(g_live_bytes.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
+}
+
+int64_t AllocCount() {
+  return g_alloc_count.load(std::memory_order_relaxed);
 }
 
 bool AllocTrackingActive() {

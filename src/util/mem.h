@@ -1,15 +1,16 @@
 // Process memory telemetry for the streaming pipeline's bounded-RSS
 // story: the OS peak RSS (getrusage high-water mark, never resettable)
-// plus an in-process allocation high-water mark fed by operator-new
-// hooks.
+// plus in-process allocation counters fed by operator-new hooks — live
+// bytes, their high-water mark, and the number of allocations.
 //
-// The allocation counter is deterministic (no page-cache or allocator
-// slack), which is what the BENCH_pipeline bounded-memory gate compares;
+// The allocation counters are deterministic (no page-cache or allocator
+// slack): the BENCH_pipeline bounded-memory gate compares the byte
+// high-water mark, and the align and shuffle benches count allocations;
 // ru_maxrss is reported alongside as the ground truth. The operator
 // new/delete overrides live in the separate opt-in TU mem_hooks.cc —
-// link it into a binary's own sources to activate tracking (it must NOT
-// go into a library: several bench binaries define their own global
-// operator new, and two definitions in one link is an ODR violation).
+// link it into a binary's own sources to activate tracking. It must NOT
+// go into a library: every binary linking that library would then
+// replace the global operator new, tracked or not.
 
 #ifndef GESALL_UTIL_MEM_H_
 #define GESALL_UTIL_MEM_H_
@@ -44,6 +45,11 @@ int64_t PeakAllocBytes();
 /// \brief Restarts the allocation high-water mark from the current live
 /// count, so a caller can measure the peak of one phase.
 void ResetPeakAllocBytes();
+
+/// \brief Allocations observed through the hooks since process start
+/// (0 when the hook TU is not linked). Monotone: diff two readings to
+/// count the allocations of one phase.
+int64_t AllocCount();
 
 /// \brief True when the operator-new hooks are linked into this binary
 /// and have observed at least one allocation.

@@ -1,8 +1,8 @@
 // Opt-in global operator new/delete overrides feeding the util/mem
-// allocation high-water mark. Add this FILE to a binary's own source
-// list to activate tracking there — never to a library target: several
-// bench binaries define their own global operator new, and linking two
-// definitions into one executable is an ODR violation.
+// allocation counters (live bytes, their high-water mark, allocation
+// count). Add this FILE to a binary's own source list to activate
+// tracking there — never to a library target, or every binary linking
+// the library would replace the global operator new.
 //
 // Accounting invariant: whatever size a block records at allocation it
 // records again at free, so LiveAllocBytes is exact and PeakAllocBytes

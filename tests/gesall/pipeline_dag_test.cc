@@ -13,6 +13,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gesall/pipeline.h"
@@ -299,6 +300,94 @@ TEST_F(PipelineDagTest, ReportRendersExecutionEngineSection) {
   EXPECT_NE(md.find("pipelined (per-partition overlap)"),
             std::string::npos);
   EXPECT_NE(md.find("critical path"), std::string::npos);
+}
+
+// Every mode seals every round it runs: same hook sequence (the fused
+// streamed round reports as kRoundCleaning), same manifests, same
+// persisted calls — and a resumed run skips all of it.
+TEST_F(PipelineDagTest, EveryModeSealsEveryRoundAndResumes) {
+  using Hook = std::pair<int, std::string>;
+  struct Sealed {
+    std::unique_ptr<Dfs> dfs;
+    std::vector<Hook> hooks;
+    std::vector<VariantRecord> variants;
+  };
+  auto run = [](Dfs* dfs, bool pipelined, bool streaming, bool resume,
+                std::vector<Hook>* hooks,
+                std::unique_ptr<GesallPipeline>* out) {
+    PipelineConfig config = MakePipelineConfig(pipelined);
+    config.streaming = streaming;
+    config.write_manifests = true;
+    config.resume = resume;
+    config.on_round_complete = [hooks](int index, const std::string& name) {
+      hooks->push_back({index, name});
+    };
+    *out = std::make_unique<GesallPipeline>(*ref_, *index_, dfs, config);
+    EXPECT_TRUE((*out)->LoadSample(sample_->mate1, sample_->mate2).ok());
+    auto variants = (*out)->RunAll();
+    EXPECT_TRUE(variants.ok()) << variants.status().ToString();
+    return variants.ok() ? variants.MoveValueUnsafe()
+                         : std::vector<VariantRecord>{};
+  };
+  auto seal = [&](bool pipelined, bool streaming) {
+    Sealed sealed;
+    sealed.dfs = std::make_unique<Dfs>(MakeDfsOptions());
+    std::unique_ptr<GesallPipeline> pipeline;
+    sealed.variants = run(sealed.dfs.get(), pipelined, streaming,
+                          /*resume=*/false, &sealed.hooks, &pipeline);
+    return sealed;
+  };
+  Sealed barriered = seal(false, false);
+  Sealed pipelined = seal(true, false);
+  Sealed streamed = seal(true, true);
+
+  const std::vector<Hook> expected = {
+      {kRoundAlignment, "round1_alignment"},
+      {kRoundCleaning, "round2_cleaning"},
+      {kRoundMarkDuplicates, "round3_markdup_opt"},
+      {kRoundSort, "round4_sort"},
+      {kRoundVariants, "round5_haplotype_caller"}};
+  std::vector<Hook> fused(expected.begin() + 1, expected.end());
+  fused.front() = {kRoundCleaning, "round1_2_streamed"};
+  EXPECT_EQ(barriered.hooks, expected);
+  EXPECT_EQ(pipelined.hooks, expected);
+  EXPECT_EQ(streamed.hooks, fused);
+
+  // The aligned stage never exists in a streamed run, so nothing seals
+  // round 1 there; every later manifest and the calls are shared.
+  const std::vector<std::string> manifests =
+      barriered.dfs->List("/gesall/manifests/");
+  ASSERT_EQ(manifests.size(), expected.size());
+  EXPECT_EQ(pipelined.dfs->List("/gesall/manifests/"), manifests);
+  EXPECT_EQ(streamed.dfs->List("/gesall/manifests/"),
+            std::vector<std::string>(manifests.begin() + 1,
+                                     manifests.end()));
+  auto calls = barriered.dfs->Read("/gesall/variants/calls.bin");
+  ASSERT_TRUE(calls.ok());
+  EXPECT_EQ(pipelined.dfs->Read("/gesall/variants/calls.bin").ValueOrDie(),
+            calls.ValueOrDie());
+  EXPECT_EQ(streamed.dfs->Read("/gesall/variants/calls.bin").ValueOrDie(),
+            calls.ValueOrDie());
+
+  for (Sealed* mode : {&barriered, &pipelined, &streamed}) {
+    std::vector<Hook> hooks;
+    std::unique_ptr<GesallPipeline> resumed;
+    std::vector<VariantRecord> variants =
+        run(mode->dfs.get(), /*pipelined=*/mode != &barriered,
+            /*streaming=*/mode == &streamed, /*resume=*/true, &hooks,
+            &resumed);
+    EXPECT_EQ(VariantKeys(mode->variants), VariantKeys(barriered_->variants));
+    EXPECT_EQ(VariantKeys(variants), VariantKeys(mode->variants));
+    EXPECT_EQ(hooks.size(), expected.size());
+    int64_t aligned = 0;
+    for (const auto& round : resumed->stats()) {
+      EXPECT_EQ(round.counters.Get("round_skipped_on_resume"), 1)
+          << round.name;
+      aligned += round.counters.Get("align_kernel_calls");
+    }
+    EXPECT_EQ(resumed->stats().size(), expected.size());
+    EXPECT_EQ(aligned, 0);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -40,6 +40,18 @@ TEST(MemTest, AllocCounterTracksRecordCalls) {
   EXPECT_EQ(PeakAllocBytes(), LiveAllocBytes());
 }
 
+TEST(MemTest, AllocCountCountsEveryRecordedAllocation) {
+  const int64_t before = AllocCount();
+  memhooks::RecordAlloc(64);
+  memhooks::RecordAlloc(1 << 20);
+  EXPECT_EQ(AllocCount(), before + 2);
+  // Frees leave the count alone: it is a number of allocations, not a
+  // live total.
+  memhooks::RecordFree(64);
+  memhooks::RecordFree(1 << 20);
+  EXPECT_EQ(AllocCount(), before + 2);
+}
+
 TEST(MemTest, SampleMemoryCombinesAllReadings) {
   MemorySample s = SampleMemory();
   EXPECT_GT(s.peak_rss_bytes, 0);
