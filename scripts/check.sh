@@ -6,10 +6,18 @@
 #   scripts/check.sh --no-asan       # skip the ASan pass
 #   scripts/check.sh --no-tsan       # skip the TSan pass
 #   scripts/check.sh --no-sanitizers # tier-1 only
+#   scripts/check.sh --coverage      # also: gcov line coverage of src/
 #
 # The sanitizer builds live in build-asan/, build-ubsan/ and
 # build-tsan/ so they never pollute the regular build directory, and
 # only build the suites that exercise the risky machinery.
+#   - Coverage (--coverage): the whole tree built in build-cov/ with
+#     -DCMAKE_CXX_FLAGS=--coverage, every ctest suite run, then gcov's
+#     per-file line coverage of src/*.cc printed lowest first (a file no
+#     test reaches reads 0%), so a runtime dispatch arm or a deleted
+#     mechanism's leftover that no test reaches shows up as unexecuted
+#     lines. Inline code in headers is counted in the .cc files that
+#     use it.
 #   - ASan (mr_test, util_test, align_test, dfs_test, service_test):
 #     arena lifetime bugs — views outliving a spill, combiner emits into
 #     a moved arena — are exactly what ASan catches and what the plain
@@ -55,11 +63,13 @@ cd "$(dirname "$0")/.."
 run_asan=1
 run_ubsan=1
 run_tsan=1
+run_coverage=0
 for arg in "$@"; do
   case "$arg" in
     --no-asan) run_asan=0 ;;
     --no-tsan) run_tsan=0 ;;
     --no-sanitizers) run_asan=0; run_ubsan=0; run_tsan=0 ;;
+    --coverage) run_coverage=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -100,6 +110,31 @@ if [[ "$run_tsan" == 1 ]]; then
   ./build-tsan/tests/service_test
   ./build-tsan/tests/gesall_test \
     --gtest_filter='PipelineNodeTest.*:PipelineDagTest.*'
+fi
+
+if [[ "$run_coverage" == 1 ]]; then
+  echo "=== coverage: every suite, line coverage of src/ ==="
+  cmake -B build-cov -S . -DCMAKE_CXX_FLAGS=--coverage
+  cmake --build build-cov -j
+  # Counters accumulate across runs; start from zero.
+  find build-cov -name '*.gcda' -delete
+  ctest --test-dir build-cov --output-on-failure --timeout 1200
+  find build-cov/src -name '*.gcno' -print0 | sort -z |
+    xargs -0 gcov -n 2>/dev/null |
+    awk -v src="$PWD/src/" '
+      /^File / { file = substr($2, 2, length($2) - 2); next }
+      /^Lines executed:/ && index(file, src) == 1 && file ~ /\.cc$/ {
+        split($2, pct, ":"); sub(/%/, "", pct[2])
+        lines = $4; hit = pct[2] * lines / 100
+        printf "%6.1f%% %6d  %s\n", pct[2], lines,
+               substr(file, length(src) + 1) | "sort -n"
+        total += lines; covered += hit; file = ""
+      }
+      END {
+        close("sort -n")
+        if (total == 0) { print "no coverage data for src/"; exit 1 }
+        printf "%6.1f%% %6d  src/ total\n", 100 * covered / total, total
+      }'
 fi
 
 echo "=== check.sh: all green ==="

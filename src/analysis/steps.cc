@@ -102,6 +102,14 @@ CleanSamStats CleanSam(const SamHeader& header,
   return stats;
 }
 
+Result<CleanSamStats> AddGroupsAndClean(const SamHeader& header,
+                                        const ReadGroup& read_group,
+                                        std::vector<SamRecord>* records) {
+  SamHeader local = header;
+  GESALL_RETURN_NOT_OK(AddReplaceReadGroups(read_group, &local, records));
+  return CleanSam(local, records);
+}
+
 Status FixMateInformation(std::vector<SamRecord>* records) {
   for (size_t i = 0; i + 1 < records->size();) {
     SamRecord& a = (*records)[i];

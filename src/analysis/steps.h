@@ -38,6 +38,13 @@ struct CleanSamStats {
 CleanSamStats CleanSam(const SamHeader& header,
                        std::vector<SamRecord>* records);
 
+/// \brief The round-2 map transform (pipeline steps 3-4):
+/// AddReplaceReadGroups then CleanSam, on a copy of `header` so the
+/// caller's keeps its read groups. Returns CleanSam's statistics.
+Result<CleanSamStats> AddGroupsAndClean(const SamHeader& header,
+                                        const ReadGroup& read_group,
+                                        std::vector<SamRecord>* records);
+
 /// \brief Makes mate information consistent within each pair (pipeline
 /// step 5). Requires records grouped by read name (the logical
 /// partitioning contract, paper §3.2); returns InvalidArgument otherwise.

@@ -213,9 +213,12 @@ struct RoundSpan {
 
 /// \brief Execution-engine telemetry of one pipeline run on the shared
 /// work-stealing executor: task/steal/queue-wait counts (delta over the
-/// run), the per-round wall spans, and the duration-weighted critical
-/// path of the round DAG — the lower bound on wall time no amount of
-/// extra overlap can beat. overlap_seconds_saved compares the actual
+/// run), the per-round wall spans, and the critical path over the edges
+/// the round driver actually ran. Each job adds its exposed time: its
+/// whole span behind a barrier, only the tail past its upstream job's
+/// end behind a per-partition gate. The intervals are disjoint, so the
+/// critical path never exceeds the wall clock and equals the serialized
+/// time on a barriered run. overlap_seconds_saved compares the actual
 /// wall clock against the sum of round durations (what a fully
 /// barriered engine would have spent).
 struct ExecutionSummary {
@@ -225,7 +228,7 @@ struct ExecutionSummary {
   int64_t tasks_stolen = 0;
   double queue_wait_seconds = 0;
 
-  // Round-DAG accounting.
+  // Round accounting.
   bool pipelined = false;
   // Rounds 1+2 ran fused through the streaming node graph (no aligned
   // stage on the DFS); see PipelineConfig::streaming.
@@ -238,8 +241,9 @@ struct ExecutionSummary {
   double wall_seconds = 0;
   double serialized_round_seconds = 0;  // sum of round durations
   double overlap_seconds_saved = 0;     // serialized - wall (>= 0)
-  double critical_path_seconds = 0;
-  std::vector<std::string> critical_path;  // round names along it
+  double critical_path_seconds = 0;  // sum of the jobs' exposed time
+  // Names of the jobs with exposed time > 0, in plan order.
+  std::vector<std::string> critical_path;
   std::vector<RoundSpan> rounds;
 };
 

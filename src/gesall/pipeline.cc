@@ -12,7 +12,6 @@
 #include "gesall/keys.h"
 #include "gesall/linear_index.h"
 #include "gesall/pipeline_node.h"
-#include "gesall/round_dag.h"
 #include "gesall/streaming.h"
 #include "gesall/transform.h"
 #include "util/bloom_filter.h"
@@ -266,14 +265,12 @@ class CleaningMapper : public Mapper {
         records.push_back(std::move(rec));
       }
     }
-    SamHeader local = *header_;
-    GESALL_RETURN_NOT_OK(RunWrappedProgram(ctx, [&] {
-      return AddReplaceReadGroups(read_group_, &local, &records);
-    }));
-    auto clean_stats = RunWrappedProgram(
-        ctx, [&] { return CleanSam(local, &records); });
-    ctx->IncrementCounter("cleansam_clipped", clean_stats.clipped_overhangs);
-    ctx->IncrementCounter("cleansam_dropped", clean_stats.dropped_invalid);
+    GESALL_ASSIGN_OR_RETURN(CleanSamStats clean, RunWrappedProgram(ctx, [&] {
+                              return AddGroupsAndClean(*header_, read_group_,
+                                                       &records);
+                            }));
+    ctx->IncrementCounter("cleansam_clipped", clean.clipped_overhangs);
+    ctx->IncrementCounter("cleansam_dropped", clean.dropped_invalid);
     {
       CounterTimer timer(ctx, kTransformMicros);
       for (const auto& r : records) {
@@ -1087,12 +1084,13 @@ struct GesallPipeline::RoundJob {
 };
 
 // State of one RunRounds() call: the clock its spans are measured on,
-// the task slots its jobs share, and the driver-merged values that later
-// rounds' mappers read.
+// the end of the last finished job, the task slots its jobs share, and
+// the driver-merged values that later rounds' mappers read.
 struct GesallPipeline::Drive {
   Executor* executor = nullptr;
   std::shared_ptr<Throttle> throttle;
   Stopwatch wall;
+  double last_end = 0;
   std::unique_ptr<BloomFilter> bloom;
   RecalibrationTable table;
   std::vector<VariantRecord> variants;
@@ -1100,8 +1098,8 @@ struct GesallPipeline::Drive {
 
 std::vector<GesallPipeline::RoundJob> GesallPipeline::Plan(Drive* d,
                                                            bool pipelined,
+                                                           bool streamed,
                                                            bool recal) {
-  const bool streamed = pipelined && config_.streaming;
   const bool bloom = config_.markdup_use_bloom;
   const bool ug = config_.variant_caller ==
                   PipelineConfig::VariantCaller::kUnifiedGenotyper;
@@ -1389,14 +1387,18 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunRounds(int first,
   // by every job in flight, as when only one round holds slots at a time.
   d.throttle = std::make_shared<Throttle>(
       d.executor, std::max(1, config_.max_parallel_tasks));
+  const int sealed = SealedThrough();
+  // A resume that finds round 1 or later sealed runs rounds 1 and 2
+  // unfused: it skips what is sealed instead of re-aligning.
+  const bool streamed = pipelined && config_.streaming && sealed == 0;
+  if (streamed) execution_.streaming = true;
   // The recalibration rounds run when configured, or when asked for.
   std::vector<RoundJob> plan = Plan(
-      &d, pipelined,
+      &d, pipelined, streamed,
       config_.run_recalibration || first == kRoundRecalibration);
   std::erase_if(plan, [&](const RoundJob& job) {
     return job.round < first || job.round > last;
   });
-  const int sealed = SealedThrough();
 
   Status s;
   size_t finished = 0;  // plan[finished, i) are in flight
@@ -1407,6 +1409,9 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunRounds(int first,
       if (job.seals) s = SkipRound(job, &d);
       continue;
     }
+    // A round sealed by an earlier run left no sink to gate on, only its
+    // committed outputs: cross that edge as a barrier.
+    job.gated = job.gated && plan[i - 1].round > sealed;
     while (s.ok() && !job.gated && finished < i) {
       s = FinishJob(&plan[finished++], &d);
     }
@@ -1439,8 +1444,8 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunRounds(int first,
   return s;
 }
 
-// Every round ends here: await, commit, stats and span, then — for the
-// last job of a round — seal and heartbeat.
+// Every round ends here: await, commit, stats, span and critical path,
+// then — for the last job of a round — seal and heartbeat.
 Status GesallPipeline::FinishJob(RoundJob* job, Drive* d) {
   Result<JobResult> out = job->handle->Wait();
   job->handle.reset();
@@ -1453,6 +1458,17 @@ Status GesallPipeline::FinishJob(RoundJob* job, Drive* d) {
   stats_.push_back({job->name, end - job->start_seconds,
                     std::move(done.counters), std::move(done.tasks)});
   execution_.rounds.push_back({job->name, job->start_seconds, end});
+  // The job's exposed time, the part of its span no earlier job covers.
+  // Jobs finish in plan order, so behind a barrier that is the whole span
+  // and behind a gate only the tail past the upstream job's end. These
+  // intervals are disjoint: their sum is the critical path, never above
+  // the wall clock, and equals the serialized time when every edge is a
+  // barrier.
+  const double exposed = end - (job->gated ? d->last_end : job->start_seconds);
+  d->last_end = end;
+  execution_.serialized_round_seconds += end - job->start_seconds;
+  execution_.critical_path_seconds += exposed;
+  if (exposed > 0) execution_.critical_path.push_back(job->name);
   if (!job->seals) return Status::OK();
   GESALL_RETURN_NOT_OK(SealRound(job->round, job->name));
   // One heartbeat interval per round: crashed nodes are declared dead
@@ -1507,15 +1523,11 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
   Executor* executor =
       config_.executor != nullptr ? config_.executor : Executor::Shared();
   const ExecutorStats before = executor->stats();
-  // Resume consults manifests before any job starts and skips whole
-  // rounds, so a resumed run always executes barriered.
-  const bool pipelined_run = config_.pipelined && !config_.resume;
   execution_ = ExecutionSummary{};
-  execution_.pipelined = pipelined_run;
-  execution_.streaming = pipelined_run && config_.streaming;
+  execution_.pipelined = config_.pipelined;
   Stopwatch wall;
   Result<std::vector<VariantRecord>> result =
-      RunRounds(kRoundAlignment, kRoundVariants, pipelined_run);
+      RunRounds(kRoundAlignment, kRoundVariants, config_.pipelined);
   execution_.wall_seconds = wall.ElapsedSeconds();
   if (!result.ok() && result.status().IsCancelled() &&
       !config_.preserve_outputs_on_cancel) {
@@ -1539,22 +1551,6 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
   // vs barriered comparisons need separate processes or the resettable
   // allocator hooks in util/mem.h).
   execution_.peak_rss_bytes = PeakRssBytes();
-
-  // Round-level DAG: each recorded round depends on the previous one
-  // (the order rounds were awaited is the dependency spine), so the
-  // critical path is the serialized bound overlap is measured against.
-  RoundDag dag;
-  int prev = -1;
-  for (const auto& span : execution_.rounds) {
-    int node = dag.AddTask(span.name);
-    dag.RecordSpan(node, span.start_seconds, span.end_seconds);
-    if (prev >= 0) dag.AddDep(prev, node);
-    prev = node;
-    execution_.serialized_round_seconds +=
-        span.end_seconds - span.start_seconds;
-  }
-  execution_.critical_path = dag.CriticalPath();
-  execution_.critical_path_seconds = dag.CriticalPathSeconds();
   execution_.overlap_seconds_saved = std::max(
       0.0, execution_.serialized_round_seconds - execution_.wall_seconds);
   return result;

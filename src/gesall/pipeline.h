@@ -128,13 +128,15 @@ struct PipelineConfig {
   /// a chromosome starts once Round 4 sorted that chromosome), instead
   /// of barriering between rounds. The gated edges are round 2 -> bloom
   /// pre-round, round 3 -> round 4 (without recalibration) and round 4
-  /// -> round 5; edges into driver-merged rounds stay barriers. Outputs,
-  /// variant calls, and every per-record counter are byte-identical
-  /// either way — only wall-clock scheduling changes. Off by default so
-  /// seeded chaos runs keep their historical round ordering.
+  /// -> round 5; edges into driver-merged rounds, and edges out of a
+  /// round a resume skips, stay barriers. Outputs, variant calls, and
+  /// every per-record counter are byte-identical either way — only
+  /// wall-clock scheduling changes. Off by default so seeded chaos runs
+  /// keep their historical round ordering.
   bool pipelined = false;
   /// Fuse rounds 1+2 into one streamed job (effective only when
-  /// `pipelined` and not resuming): every map task pumps its FASTQ
+  /// `pipelined`; a resume that finds any round sealed runs them unfused
+  /// and skips the sealed ones): every map task pumps its FASTQ
   /// partition through the bounded-queue node graph of pipeline_node.h
   /// (FastqSource -> Align -> Clean -> shuffle emit), so the aligned
   /// stage is never materialized on the DFS and the map-side memory
@@ -181,8 +183,8 @@ struct PipelineConfig {
   /// direct upstream's outputs, which that manifest verified, so a job
   /// sealed through the fused streamed round does not re-align.
   /// Deterministic rounds make re-execution and skipping
-  /// byte-equivalent. Resume executes barriered: a pipelined config
-  /// falls back to barrier edges for that run.
+  /// byte-equivalent. A pipelined resume keeps its gates between rounds
+  /// that both run; the edge out of the last skipped round is a barrier.
   bool resume = false;
   /// Keep stage outputs and manifests on a cancelled RunAll() instead of
   /// deleting them. The durable service layer sets this so a
@@ -254,8 +256,9 @@ class GesallPipeline {
 
   /// Execution-engine telemetry of the last RunAll(): executor
   /// task/steal/queue-wait deltas, per-round wall spans, and the
-  /// critical path of the round DAG. Zero before RunAll() ran, except
-  /// for the spans that single-round RunRoundN calls append.
+  /// critical path over the driver's barrier and gate edges. Zero before
+  /// RunAll() ran, except for the spans, serialized time and critical
+  /// path that single-round RunRoundN calls add.
   const ExecutionSummary& SummarizeExecution() const { return execution_; }
 
  private:
@@ -264,15 +267,18 @@ class GesallPipeline {
   // each edge between consecutive jobs as a barrier or a gate.
   struct RoundJob;
   struct Drive;
-  std::vector<RoundJob> Plan(Drive* drive, bool pipelined, bool recal);
+  std::vector<RoundJob> Plan(Drive* drive, bool pipelined, bool streamed,
+                             bool recal);
   /// Runs the planned jobs of rounds [first, last] (PipelineRound) and
   /// returns the variant calls when kRoundVariants ran. `pipelined` turns the
   /// gateable edges into per-partition gates and, with
-  /// config_.streaming, fuses round 1 into round 2's maps.
+  /// config_.streaming and nothing sealed, fuses round 1 into round 2's
+  /// maps.
   Result<std::vector<VariantRecord>> RunRounds(int first, int last,
                                                bool pipelined = false);
-  /// The one way a job ends: await, commit its parts, record RoundStats
-  /// and its span, then, for a round's last job, seal and tick.
+  /// The one way a job ends: await, commit its parts, record RoundStats,
+  /// its span and its exposed time on the critical path, then, for a
+  /// round's last job, seal and tick.
   Status FinishJob(RoundJob* job, Drive* drive);
   /// Records a round sealed by an earlier run as skipped (a RoundStats
   /// entry whose only counter is "round_skipped_on_resume") and fires
@@ -319,9 +325,10 @@ class GesallPipeline {
 
 // ---------------------------------------------------------------------
 // Serial reference pipeline (the paper's single-node "gold standard",
-// GATK best practices): the same wrapped programs executed as a RoundDag
-// chain on a single-worker executor, plus hybrid tails used to compute
-// the discordant-impact (D_impact) measures of §4.5.2.
+// GATK best practices): the same wrapped programs run one after another
+// on one thread at a time, each timed into step_seconds, plus hybrid
+// tails used to compute the discordant-impact (D_impact) measures of
+// §4.5.2.
 
 /// \brief Serial pipeline configuration.
 struct SerialPipelineConfig {

@@ -281,10 +281,9 @@ Status RunAlignCleanStream(
     return PumpResult::Progress();
   });
 
-  // --- CleanNode (round-2 map transform): AddReplaceReadGroups +
-  // CleanSam, both per-record rewrites, applied batch-wise. A fresh
-  // header copy per batch mirrors the per-split copy of the barriered
-  // CleaningMapper; the outputs are identical either way.
+  // --- CleanNode (round-2 map transform): AddGroupsAndClean, the
+  // barriered CleaningMapper's transform, applied batch-wise. Both are
+  // per-record rewrites, so the outputs are identical either way.
   std::optional<RecordBatch> clean_pending;
   if (opts.clean) {
     graph.AddNode("clean", [&]() -> PumpResult {
@@ -308,13 +307,11 @@ Status RunAlignCleanStream(
         case QueuePopState::kItem:
           break;
       }
-      SamHeader local = *opts.header;
-      Status s =
-          AddReplaceReadGroups(opts.read_group, &local, &in.records);
-      if (!s.ok()) return PumpResult::Error(std::move(s));
-      CleanSamStats cs = CleanSam(local, &in.records);
-      stats->clean_clipped += cs.clipped_overhangs;
-      stats->clean_dropped += cs.dropped_invalid;
+      Result<CleanSamStats> cs =
+          AddGroupsAndClean(*opts.header, opts.read_group, &in.records);
+      if (!cs.ok()) return PumpResult::Error(cs.status());
+      stats->clean_clipped += cs.ValueOrDie().clipped_overhangs;
+      stats->clean_dropped += cs.ValueOrDie().dropped_invalid;
       clean_pending = std::move(in);
       return PumpResult::Progress();
     });

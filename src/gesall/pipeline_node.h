@@ -184,9 +184,9 @@ struct AlignCleanStreamStats {
 struct AlignCleanStreamOptions {
   Executor* executor = nullptr;  // null selects Executor::Shared()
   std::shared_ptr<CancelToken> cancel;
-  /// Append the AddReplaceReadGroups + CleanSam node after alignment
-  /// (the round-2 map-side transform). Off for the serial reference
-  /// chain, whose cleaning runs as its own DAG nodes.
+  /// Append the AddGroupsAndClean node after alignment (the round-2
+  /// map-side transform). Off for the serial reference chain, which
+  /// times AddReplaceReadGroups and CleanSam as separate steps.
   bool clean = true;
   /// Required when clean is set: the pipeline header CleanSam clips
   /// against, and the read group to stamp.

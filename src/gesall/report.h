@@ -35,8 +35,9 @@ struct DiagnosisReportInputs {
   const NodeFailureSummary* node_failures = nullptr;
   /// Optional execution-engine telemetry of the parallel run (executor
   /// task/steal/queue-wait counts, per-round wall spans, critical path
-  /// of the round DAG) — rendered as its own section so a reviewer sees
-  /// where the wall-clock went and what bounds further overlap.
+  /// over the driver's barrier and gate edges) — rendered as its own
+  /// section so a reader sees where the wall-clock went and what
+  /// bounds further overlap.
   const ExecutionSummary* execution = nullptr;
   /// Optional disk-byte/compression telemetry (raw vs on-disk bytes on
   /// the shuffle and DFS paths, codec cpu time) — rendered as its own

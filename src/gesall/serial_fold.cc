@@ -1,11 +1,10 @@
-// Serial reference pipeline, folded onto the execution engine: the
-// wrapped-program chain (Table 2) runs as a linear RoundDag on a
-// single-worker executor — the same scheduling code path as the
-// distributed engine, minus parallelism. Node spans double as the
-// per-program step_seconds the diagnosis report consumes.
+// Serial reference pipeline: the wrapped-program chain (Table 2) as a
+// plain sequence of named steps, one thread at a time. Each step is timed
+// into step_seconds, the per-program timings the diagnosis report
+// consumes; the first failing step ends the chain.
 
+#include <algorithm>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,12 +14,14 @@
 #include "analysis/steps.h"
 #include "gesall/pipeline.h"
 #include "gesall/pipeline_node.h"
-#include "gesall/round_dag.h"
 #include "util/executor.h"
+#include "util/stopwatch.h"
 
 namespace gesall {
 
 namespace {
+
+using StepTimings = std::map<std::string, double>;
 
 // Groups records by read name (pairs adjacent) without changing the
 // relative order of pairs — the precondition of FixMateInformation and
@@ -38,94 +39,70 @@ void GroupByName(std::vector<SamRecord>* records) {
   }
 }
 
-// Mutable state threaded through the chain. The header is a local copy:
-// the sort updates its sort_order in-place, but callers' headers (and
-// SerialStageOutputs::header) keep the pre-sort value, matching the
-// historical by-value plumbing.
-struct ChainState {
-  const ReferenceGenome* reference = nullptr;
-  const SerialPipelineConfig* config = nullptr;
-  // The chain's own single-worker executor, set by RunChain before the
-  // dag runs: nodes that pump a NodeGraph (the alignment head) run it
-  // on the same worker their dag task occupies.
-  Executor* chain_executor = nullptr;
-  SamHeader header;
-  std::vector<SamRecord> records;
-  std::vector<VariantRecord> variants;
-  RecalibrationTable recal_table;
-};
-
-// Appends the cleaning -> markdup -> sort [-> recal] -> HC chain to
-// `dag` as a linear dependency spine. Optional snapshot pointers copy a
-// stage's output the moment it completes (the R_i of the diagnosis
-// formalism); from_deduped skips straight to the sort.
-void AppendTailChain(RoundDag* dag, ChainState* state, int head,
-                     bool from_deduped,
-                     std::vector<SamRecord>* cleaned_out,
-                     std::vector<SamRecord>* deduped_out,
-                     SamHeader* header_out,
-                     std::vector<SamRecord>* sorted_out) {
-  auto link = [dag, &head](int node) {
-    if (head >= 0) dag->AddDep(head, node);
-    head = node;
-  };
-  if (!from_deduped) {
-    link(dag->AddTask("add_replace_groups", [state] {
-      return AddReplaceReadGroups(state->config->read_group, &state->header,
-                                  &state->records);
-    }));
-    link(dag->AddTask("clean_sam", [state] {
-      CleanSam(state->header, &state->records);
-      return Status::OK();
-    }));
-    link(dag->AddTask("fix_mate_info", [state, cleaned_out, header_out] {
-      GESALL_RETURN_NOT_OK(FixMateInformation(&state->records));
-      if (cleaned_out != nullptr) *cleaned_out = state->records;
-      if (header_out != nullptr) *header_out = state->header;
-      return Status::OK();
-    }));
-    link(dag->AddTask("mark_duplicates", [state, deduped_out] {
-      GESALL_RETURN_NOT_OK(MarkDuplicates(&state->records).status());
-      if (deduped_out != nullptr) *deduped_out = state->records;
-      return Status::OK();
-    }));
-  }
-  link(dag->AddTask("sort_sam", [state] {
-    SortSamByCoordinate(&state->header, &state->records);
-    return Status::OK();
-  }));
-  if (state->config->run_recalibration) {
-    link(dag->AddTask("base_recalibrator", [state] {
-      state->recal_table =
-          BaseRecalibrator(*state->reference, state->records);
-      return Status::OK();
-    }));
-    link(dag->AddTask("print_reads", [state] {
-      PrintReads(state->recal_table, &state->records);
-      return Status::OK();
-    }));
-  }
-  link(dag->AddTask("haplotype_caller", [state, sorted_out] {
-    if (sorted_out != nullptr) *sorted_out = state->records;
-    HaplotypeCaller caller(*state->reference, state->config->hc);
-    state->variants = caller.CallAll(state->records);
-    return Status::OK();
-  }));
+// Runs one wrapped program, adding its wall time to (*timings)[name]
+// when timings is set.
+template <typename Fn>
+Status Step(StepTimings* timings, const char* name, Fn&& fn) {
+  Stopwatch clock;
+  Status s = fn();
+  if (timings != nullptr) (*timings)[name] += clock.ElapsedSeconds();
+  return s;
 }
 
-// Runs the dag on a private single-worker executor and folds node spans
-// into per-program timings (the step_seconds contract).
-Status RunChain(RoundDag* dag, ChainState* state,
-                std::map<std::string, double>* timings) {
-  Executor serial_executor(1);
-  state->chain_executor = &serial_executor;
-  GESALL_RETURN_NOT_OK(dag->Run(&serial_executor));
-  if (timings != nullptr) {
-    for (const auto& node : dag->nodes()) {
-      if (node.ran) (*timings)[node.name] += node.duration_seconds();
+// The chain after alignment: cleaning -> markdup -> sort [-> recal] ->
+// HC; from_deduped starts at the sort. `header` is the chain's own copy
+// (the sort stamps its sort_order). With `out` set, each stage's output
+// is snapshotted the moment it completes (the R_i of the diagnosis
+// formalism) — out->header before the sort — and the steps are timed.
+Result<std::vector<VariantRecord>> RunTail(const ReferenceGenome& reference,
+                                           const SerialPipelineConfig& config,
+                                           SamHeader header,
+                                           std::vector<SamRecord> records,
+                                           bool from_deduped,
+                                           SerialStageOutputs* out) {
+  StepTimings* timings = out != nullptr ? &out->step_seconds : nullptr;
+  if (!from_deduped) {
+    GESALL_RETURN_NOT_OK(Step(timings, "add_replace_groups", [&] {
+      return AddReplaceReadGroups(config.read_group, &header, &records);
+    }));
+    GESALL_RETURN_NOT_OK(Step(timings, "clean_sam", [&] {
+      CleanSam(header, &records);
+      return Status::OK();
+    }));
+    GESALL_RETURN_NOT_OK(Step(timings, "fix_mate_info",
+                              [&] { return FixMateInformation(&records); }));
+    if (out != nullptr) {
+      out->cleaned = records;
+      out->header = header;
     }
+    GESALL_RETURN_NOT_OK(Step(timings, "mark_duplicates", [&] {
+      return MarkDuplicates(&records).status();
+    }));
+    if (out != nullptr) out->deduped = records;
   }
-  return Status::OK();
+  GESALL_RETURN_NOT_OK(Step(timings, "sort_sam", [&] {
+    SortSamByCoordinate(&header, &records);
+    return Status::OK();
+  }));
+  if (config.run_recalibration) {
+    RecalibrationTable table;
+    GESALL_RETURN_NOT_OK(Step(timings, "base_recalibrator", [&] {
+      table = BaseRecalibrator(reference, records);
+      return Status::OK();
+    }));
+    GESALL_RETURN_NOT_OK(Step(timings, "print_reads", [&] {
+      PrintReads(table, &records);
+      return Status::OK();
+    }));
+  }
+  if (out != nullptr) out->sorted = records;
+  std::vector<VariantRecord> variants;
+  GESALL_RETURN_NOT_OK(Step(timings, "haplotype_caller", [&] {
+    HaplotypeCaller caller(reference, config.hc);
+    variants = caller.CallAll(records);
+    return Status::OK();
+  }));
+  return variants;
 }
 
 }  // namespace
@@ -135,36 +112,39 @@ Result<SerialStageOutputs> RunSerialPipeline(
     const std::vector<FastqRecord>& interleaved,
     const SerialPipelineConfig& config) {
   SerialStageOutputs out;
-  ChainState state;
-  state.reference = &reference;
-  state.config = &config;
-
-  RoundDag dag;
-  int head = dag.AddTask("bwa", [&] {
-    // Alignment runs through the same streaming node graph as the fused
-    // distributed round (pipeline_node.h), pumped on the chain's single
-    // worker — outputs are bit-identical to a monolithic AlignPairs,
-    // and every serial run doubles as a liveness check of the graph's
-    // park/wake protocol with no second thread to help.
-    state.header = PairedEndAligner(index, config.aligner).MakeHeader();
-    AlignCleanStreamOptions sopts;
-    sopts.executor = state.chain_executor;
-    sopts.clean = false;
-    AlignCleanStreamStats sstats;
-    GESALL_RETURN_NOT_OK(RunAlignCleanStream(
-        index, config.aligner, interleaved, sopts,
-        [&state](RecordBatch* b) {
-          for (auto& r : b->records) state.records.push_back(std::move(r));
-          return Status::OK();
-        },
-        &sstats));
-    out.aligned = state.records;
-    return Status::OK();
-  });
-  AppendTailChain(&dag, &state, head, /*from_deduped=*/false, &out.cleaned,
-                  &out.deduped, &out.header, &out.sorted);
-  GESALL_RETURN_NOT_OK(RunChain(&dag, &state, &out.step_seconds));
-  out.variants = std::move(state.variants);
+  SamHeader header;
+  std::vector<SamRecord> records;
+  // Alignment pumps the same streaming node graph as the fused
+  // distributed round (pipeline_node.h) from inside the task of a
+  // one-worker executor, so the oracle stays single-threaded — outputs
+  // are bit-identical to a monolithic AlignPairs, and every serial run
+  // doubles as a liveness check of the graph's park/wake protocol with
+  // no second thread to help. The executor's destructor drains the task
+  // and joins the worker.
+  Status aligned;
+  {
+    Executor serial_executor(1);
+    serial_executor.Submit([&] {
+      aligned = Step(&out.step_seconds, "bwa", [&] {
+        header = PairedEndAligner(index, config.aligner).MakeHeader();
+        AlignCleanStreamOptions sopts;
+        sopts.executor = &serial_executor;
+        sopts.clean = false;
+        return RunAlignCleanStream(
+            index, config.aligner, interleaved, sopts,
+            [&records](RecordBatch* b) {
+              for (auto& r : b->records) records.push_back(std::move(r));
+              return Status::OK();
+            },
+            /*stats=*/nullptr);
+      });
+    });
+  }
+  GESALL_RETURN_NOT_OK(aligned);
+  out.aligned = records;
+  GESALL_ASSIGN_OR_RETURN(
+      out.variants, RunTail(reference, config, std::move(header),
+                            std::move(records), /*from_deduped=*/false, &out));
   return out;
 }
 
@@ -172,31 +152,15 @@ Result<std::vector<VariantRecord>> SerialTailFromAligned(
     const ReferenceGenome& reference, const SamHeader& header,
     std::vector<SamRecord> aligned, const SerialPipelineConfig& config) {
   GroupByName(&aligned);
-  ChainState state;
-  state.reference = &reference;
-  state.config = &config;
-  state.header = header;
-  state.records = std::move(aligned);
-  RoundDag dag;
-  AppendTailChain(&dag, &state, /*head=*/-1, /*from_deduped=*/false,
-                  nullptr, nullptr, nullptr, nullptr);
-  GESALL_RETURN_NOT_OK(RunChain(&dag, &state, nullptr));
-  return std::move(state.variants);
+  return RunTail(reference, config, header, std::move(aligned),
+                 /*from_deduped=*/false, /*out=*/nullptr);
 }
 
 Result<std::vector<VariantRecord>> SerialTailFromDeduped(
     const ReferenceGenome& reference, const SamHeader& header,
     std::vector<SamRecord> deduped, const SerialPipelineConfig& config) {
-  ChainState state;
-  state.reference = &reference;
-  state.config = &config;
-  state.header = header;
-  state.records = std::move(deduped);
-  RoundDag dag;
-  AppendTailChain(&dag, &state, /*head=*/-1, /*from_deduped=*/true, nullptr,
-                  nullptr, nullptr, nullptr);
-  GESALL_RETURN_NOT_OK(RunChain(&dag, &state, nullptr));
-  return std::move(state.variants);
+  return RunTail(reference, config, header, std::move(deduped),
+                 /*from_deduped=*/true, /*out=*/nullptr);
 }
 
 }  // namespace gesall

@@ -3,14 +3,14 @@
 // work-stealing executor) must be invisible in every output — stage part
 // bytes in DFS, variant calls, and per-record round counters are
 // byte-identical to the barriered engine — and visible only in the
-// execution-engine telemetry. Also covers the RoundDag scheduler itself
-// and determinism of chaos recovery mid-overlap.
+// execution-engine telemetry. Also covers determinism of chaos recovery
+// mid-overlap, pipelined resume, and the critical path over the
+// driver's barrier and gate edges.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -18,10 +18,8 @@
 
 #include "gesall/pipeline.h"
 #include "gesall/report.h"
-#include "gesall/round_dag.h"
 #include "genome/read_simulator.h"
 #include "genome/reference_generator.h"
-#include "util/executor.h"
 #include "util/fault_injection.h"
 
 namespace gesall {
@@ -390,82 +388,101 @@ TEST_F(PipelineDagTest, EveryModeSealsEveryRoundAndResumes) {
   }
 }
 
-// ---------------------------------------------------------------------
-// RoundDag scheduler unit tests.
-
-TEST(RoundDagTest, RunsTasksInDependencyOrder) {
-  Executor executor(2);
-  RoundDag dag;
-  std::mutex mu;
-  std::vector<std::string> order;
-  auto record = [&](const std::string& name) {
-    return [&, name]() {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(name);
-      return Status::OK();
-    };
+// A pipelined resume keeps its gates: with nothing sealed yet it runs
+// exactly like a fresh pipelined run, and after an earlier run sealed
+// rounds 1-3 it skips them, crosses the edge out of the skipped round 3
+// as a barrier, and still gates round 5 on round 4.
+TEST_F(PipelineDagTest, PipelinedResumeKeepsGates) {
+  auto make = [](Dfs* dfs, bool pipelined) {
+    PipelineConfig config = MakePipelineConfig(pipelined);
+    config.write_manifests = true;
+    config.resume = true;
+    return std::make_unique<GesallPipeline>(*ref_, *index_, dfs, config);
   };
-  int a = dag.AddTask("a", record("a"));
-  int b = dag.AddTask("b", record("b"));
-  int c = dag.AddTask("c", record("c"));
-  int d = dag.AddTask("d", record("d"));
-  dag.AddDep(a, b);
-  dag.AddDep(a, c);
-  dag.AddDep(b, d);
-  dag.AddDep(c, d);
-  ASSERT_TRUE(dag.Run(&executor).ok());
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order.front(), "a");
-  EXPECT_EQ(order.back(), "d");
+  auto span = [](const ExecutionSummary& ex, const std::string& name) {
+    for (const auto& round : ex.rounds) {
+      if (round.name == name) return round;
+    }
+    ADD_FAILURE() << "no span " << name;
+    return RoundSpan{};
+  };
+
+  Dfs fresh_dfs(MakeDfsOptions());
+  auto fresh = make(&fresh_dfs, /*pipelined=*/true);
+  ASSERT_TRUE(fresh->LoadSample(sample_->mate1, sample_->mate2).ok());
+  auto fresh_variants = fresh->RunAll();
+  ASSERT_TRUE(fresh_variants.ok()) << fresh_variants.status().ToString();
+  EXPECT_EQ(VariantKeys(fresh_variants.ValueOrDie()),
+            VariantKeys(barriered_->variants));
+  const ExecutionSummary& fresh_ex = fresh->SummarizeExecution();
+  EXPECT_TRUE(fresh_ex.pipelined);
+  // Round 5 is started right behind round 4, not after it finished.
+  EXPECT_LT(span(fresh_ex, "round5_haplotype_caller").start_seconds,
+            span(fresh_ex, "round4_sort").end_seconds);
+
+  Dfs sealed_dfs(MakeDfsOptions());
+  auto sealer = make(&sealed_dfs, /*pipelined=*/false);
+  ASSERT_TRUE(sealer->LoadSample(sample_->mate1, sample_->mate2).ok());
+  ASSERT_TRUE(sealer->RunRound1Alignment().ok());
+  ASSERT_TRUE(sealer->RunRound2Cleaning().ok());
+  ASSERT_TRUE(sealer->RunRound3MarkDuplicates().ok());
+
+  auto resumed = make(&sealed_dfs, /*pipelined=*/true);
+  auto variants = resumed->RunAll();
+  ASSERT_TRUE(variants.ok()) << variants.status().ToString();
+  EXPECT_EQ(VariantKeys(variants.ValueOrDie()),
+            VariantKeys(barriered_->variants));
+  const std::vector<RoundStats>& stats = resumed->stats();
+  ASSERT_EQ(stats.size(), 5u);
+  for (size_t i = 0; i < stats.size(); ++i) {
+    EXPECT_EQ(stats[i].counters.Get("round_skipped_on_resume"), i < 3 ? 1 : 0)
+        << stats[i].name;
+  }
+  const ExecutionSummary& ex = resumed->SummarizeExecution();
+  EXPECT_TRUE(ex.pipelined);
+  const RoundSpan sort = span(ex, "round4_sort");
+  const RoundSpan call = span(ex, "round5_haplotype_caller");
+  EXPECT_GE(sort.start_seconds, span(ex, "round3_markdup_opt").end_seconds);
+  EXPECT_LT(call.start_seconds, sort.end_seconds);
+  // Behind its barrier round 4 is exposed whole; gated round 5 only past
+  // round 4's end.
+  EXPECT_NEAR(ex.critical_path_seconds,
+              sort.end_seconds - sort.start_seconds +
+                  call.end_seconds - sort.end_seconds,
+              1e-9);
 }
 
-TEST(RoundDagTest, ErrorSkipsDependentsAndPropagates) {
-  Executor executor(1);
-  RoundDag dag;
-  bool downstream_ran = false;
-  int a = dag.AddTask(
-      "a", []() { return Status::IOError("round a exploded"); });
-  int b = dag.AddTask("b", [&]() {
-    downstream_ran = true;
-    return Status::OK();
-  });
-  dag.AddDep(a, b);
-  Status status = dag.Run(&executor);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.ToString().find("round a exploded"), std::string::npos);
-  EXPECT_FALSE(downstream_ran);
-}
+// The critical path is built from the edges the driver ran: equal to the
+// serialized round time when every edge is a barrier, and within the
+// wall clock — so below the serialized time — when gated rounds overlap.
+// Seeded straggler latency on map and reduce attempts (the fault points
+// bench_pipeline arms) makes every upstream job outlast the start of the
+// job gated on it.
+TEST_F(PipelineDagTest, CriticalPathFollowsBarrierAndGateEdges) {
+  const ExecutionSummary& barriered =
+      barriered_->pipeline->SummarizeExecution();
+  EXPECT_NEAR(barriered.critical_path_seconds,
+              barriered.serialized_round_seconds, 1e-9);
+  EXPECT_EQ(barriered.critical_path.size(), barriered.rounds.size());
 
-TEST(RoundDagTest, CycleIsRejected) {
-  Executor executor(1);
-  RoundDag dag;
-  int a = dag.AddTask("a", []() { return Status::OK(); });
-  int b = dag.AddTask("b", []() { return Status::OK(); });
-  dag.AddDep(a, b);
-  dag.AddDep(b, a);
-  EXPECT_FALSE(dag.Run(&executor).ok());
-}
-
-TEST(RoundDagTest, CriticalPathPicksLongestSpanChain) {
-  RoundDag dag;
-  int a = dag.AddTask("a");
-  int b = dag.AddTask("b");
-  int c = dag.AddTask("c");
-  int d = dag.AddTask("d");
-  dag.AddDep(a, b);
-  dag.AddDep(a, c);
-  dag.AddDep(b, d);
-  dag.AddDep(c, d);
-  dag.RecordSpan(a, 0.0, 1.0);
-  dag.RecordSpan(b, 1.0, 1.5);   // short branch
-  dag.RecordSpan(c, 1.0, 4.0);   // long branch
-  dag.RecordSpan(d, 4.0, 5.0);
-  std::vector<std::string> path = dag.CriticalPath();
-  ASSERT_EQ(path.size(), 3u);
-  EXPECT_EQ(path[0], "a");
-  EXPECT_EQ(path[1], "c");
-  EXPECT_EQ(path[2], "d");
-  EXPECT_NEAR(dag.CriticalPathSeconds(), 5.0, 1e-9);
+  FaultInjector injector(4242);
+  ASSERT_TRUE(injector.ArmLatency(kFaultMapAttempt, 0.6, 50).ok());
+  ASSERT_TRUE(injector.ArmLatency(kFaultReduceAttempt, 0.6, 50).ok());
+  Dfs dfs(MakeDfsOptions());
+  PipelineConfig config = MakePipelineConfig(/*pipelined=*/true);
+  config.fault_injector = &injector;
+  GesallPipeline pipeline(*ref_, *index_, &dfs, config);
+  ASSERT_TRUE(pipeline.LoadSample(sample_->mate1, sample_->mate2).ok());
+  auto variants = pipeline.RunAll();
+  ASSERT_TRUE(variants.ok()) << variants.status().ToString();
+  EXPECT_EQ(VariantKeys(variants.ValueOrDie()),
+            VariantKeys(barriered_->variants));
+  const ExecutionSummary& pipelined = pipeline.SummarizeExecution();
+  EXPECT_GT(injector.latency_fires(kFaultReduceAttempt), 0);
+  EXPECT_LE(pipelined.critical_path_seconds,
+            pipelined.wall_seconds + 1e-6);
+  EXPECT_LT(pipelined.critical_path_seconds,
+            pipelined.serialized_round_seconds);
 }
 
 }  // namespace
