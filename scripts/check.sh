@@ -39,12 +39,12 @@
 #     combines), the fault-injection arithmetic, and the 16-bit
 #     saturating DP arithmetic must be free of undefined behavior, or
 #     corruption detection itself can't be trusted.
-#   - TSan (util_test, mr_test, service_test, plus the streaming
-#     node-graph suite): the work-stealing executor (per-worker deques,
-#     steal-half transfers, TaskGroup helping waits, the shutdown/submit
-#     race) and the async MapReduce engine built on it are
-#     lock-ordering-sensitive by design; a data race here silently
-#     reorders round outputs. The service suite adds the job-manager
+#   - TSan (util_test, mr_test, service_test, the streaming node-graph
+#     suite and the DFS compression suite): the work-stealing executor
+#     (per-worker deques, steal-half transfers, TaskGroup helping waits,
+#     the shutdown/submit race) and the async MapReduce engine built on
+#     it are lock-ordering-sensitive by design; a data race here
+#     silently reorders round outputs. The service suite adds the job-manager
 #     threads (runners, watchdog, heartbeat) racing admission,
 #     cancellation and drain, including the multi-tenant chaos test over
 #     a shared DFS. The PipelineNodeTest filter exercises the pipeline
@@ -56,6 +56,9 @@
 #     encodes and commits its partition and fires the downstream split's
 #     ReadySignal while the driver thread is still awaiting, sealing and
 #     starting other rounds, so worker-side commits race the driver.
+#     The DfsCompressionTest filter covers Dfs::Write's deflate fan-out:
+#     a write deflates its BGZF blocks on executor workers while the
+#     writing thread helps, then commits them in order.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,13 +79,13 @@ done
 
 echo "=== tier-1: configure + build + ctest ==="
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure --timeout 1200
 
 if [[ "$run_asan" == 1 ]]; then
   echo "=== asan: shuffle engine + aligner + durability suites ==="
   cmake -B build-asan -S . -DGESALL_SANITIZE=address
-  cmake --build build-asan -j --target mr_test util_test align_test \
+  cmake --build build-asan -j"$(nproc)" --target mr_test util_test align_test \
     dfs_test service_test
   ./build-asan/tests/mr_test
   ./build-asan/tests/util_test
@@ -94,7 +97,7 @@ fi
 if [[ "$run_ubsan" == 1 ]]; then
   echo "=== ubsan: integrity + failure-model + aligner suites ==="
   cmake -B build-ubsan -S . -DGESALL_SANITIZE=undefined
-  cmake --build build-ubsan -j --target dfs_test mr_test align_test
+  cmake --build build-ubsan -j"$(nproc)" --target dfs_test mr_test align_test
   ./build-ubsan/tests/dfs_test
   ./build-ubsan/tests/mr_test
   ./build-ubsan/tests/align_test
@@ -103,10 +106,11 @@ fi
 if [[ "$run_tsan" == 1 ]]; then
   echo "=== tsan: executor + mapreduce + service suites ==="
   cmake -B build-tsan -S . -DGESALL_SANITIZE=thread
-  cmake --build build-tsan -j --target util_test mr_test service_test \
-    gesall_test
+  cmake --build build-tsan -j"$(nproc)" --target util_test mr_test service_test \
+    gesall_test dfs_test
   ./build-tsan/tests/util_test
   ./build-tsan/tests/mr_test
+  ./build-tsan/tests/dfs_test --gtest_filter='DfsCompressionTest.*'
   ./build-tsan/tests/service_test
   ./build-tsan/tests/gesall_test \
     --gtest_filter='PipelineNodeTest.*:PipelineDagTest.*'
@@ -115,7 +119,7 @@ fi
 if [[ "$run_coverage" == 1 ]]; then
   echo "=== coverage: every suite, line coverage of src/ ==="
   cmake -B build-cov -S . -DCMAKE_CXX_FLAGS=--coverage
-  cmake --build build-cov -j
+  cmake --build build-cov -j"$(nproc)"
   # Counters accumulate across runs; start from zero.
   find build-cov -name '*.gcda' -delete
   ctest --test-dir build-cov --output-on-failure --timeout 1200

@@ -87,10 +87,6 @@ Dfs::Dfs(DfsOptions options)
 }
 
 namespace {
-// Chunk counts below this run serially: the executor round trip costs
-// more than a few CRC sweeps.
-constexpr size_t kMinParallelChunks = 4;
-
 // Namespace journal opcodes (HDFS editlog analog). Values are on-disk
 // format; never renumber.
 constexpr uint8_t kOpCreateFile = 1;
@@ -152,7 +148,8 @@ Status Dfs::Write(const std::string& path, std::string_view data,
 
   // Placement, compression, and checksums are pure in the input; compute
   // them before taking the namenode lock so concurrent readers are not
-  // stalled behind deflate or CRC sweeps of a large file.
+  // stalled behind deflate or CRC sweeps of a large file. Both fan out
+  // over the executor; blocks still commit below in call order.
   struct PendingBlock {
     int64_t length = 0;  // logical (uncompressed) length
     std::vector<int> placement;
@@ -185,11 +182,12 @@ Status Dfs::Write(const std::string& path, std::string_view data,
     pb.bytes =
         data.substr(static_cast<size_t>(off), static_cast<size_t>(len));
     if (deflate && len > 0) {
-      BgzfWriter writer(&pb.stored, options_.compress_level);
-      GESALL_RETURN_NOT_OK(writer.Append(pb.bytes));
-      GESALL_RETURN_NOT_OK(writer.Flush());
+      BgzfCodecStats codec;
+      GESALL_RETURN_NOT_OK(BgzfCompress(
+          pb.bytes, options_.compress_level,
+          executor_.load(std::memory_order_acquire), &pb.stored, &codec));
       pb.compressed = true;
-      pb.compress_micros = writer.stats().compress_micros;
+      pb.compress_micros = codec.compress_micros;
       pb.store_view = pb.stored;
     } else {
       pb.store_view = pb.bytes;

@@ -67,8 +67,11 @@ struct DfsOptions {
   /// A payload that is already an exact chain of complete BGZF frames
   /// (a BAM part) is stored verbatim instead: deflate cannot shrink it,
   /// so a second pass would only burn codec cpu on the stored fallback.
+  /// Deflate runs before the namenode lock is taken, its 64 KiB blocks
+  /// spread over the DFS executor (set_executor) in parallel.
   bool compress_parts = false;
   /// zlib level for compress_parts (-1 = zlib default, else 0..9).
+  /// Parts are kept, so the default is bgzf.h's kept-bytes level.
   int compress_level = -1;
   /// Namenode durability (HDFS fsimage/editlog analog). When
   /// durability.root_dir is set, block payloads persist as files under
@@ -238,9 +241,10 @@ class Dfs {
     injector_.store(injector, std::memory_order_release);
   }
 
-  /// Executor for parallel checksum work (not owned): write-time chunk
-  /// sums fan out as tasks, and scrub/read CRC verification of large
-  /// blocks does too. Null keeps checksumming single-threaded.
+  /// Executor for parallel codec and checksum work (not owned):
+  /// write-time deflate (compress_parts) and chunk sums fan out as
+  /// tasks, and scrub/read CRC verification of large blocks does too.
+  /// Null keeps both single-threaded.
   void set_executor(Executor* executor) {
     executor_.store(executor, std::memory_order_release);
   }

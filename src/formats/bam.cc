@@ -104,8 +104,18 @@ Status BamWriter::WriteHeader(const SamHeader& header) {
 }
 
 Status BamWriter::WriteRecord(const SamRecord& rec) {
+  return WriteEncoded(EncodeBamRecord(rec));
+}
+
+Status BamWriter::WriteEncoded(std::string_view encoded) {
   if (!header_written_) return Status::InvalidArgument("header not written");
-  std::string encoded = EncodeBamRecord(rec);
+  BufferReader r(encoded);
+  uint32_t len = 0;
+  if (!r.GetU32(&len).ok() || static_cast<size_t>(len) + 4 != encoded.size()) {
+    return Status::Corruption("mis-framed BAM record: " +
+                              std::to_string(encoded.size()) +
+                              " bytes do not match its length prefix");
+  }
   if (encoded.size() > kBgzfBlockSize) {
     return Status::InvalidArgument("BAM record exceeds one BGZF block");
   }

@@ -12,6 +12,7 @@
 #define GESALL_FORMATS_BAM_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "formats/sam.h"
@@ -34,7 +35,13 @@ class BamWriter {
   /// Must be called exactly once, before any record.
   Status WriteHeader(const SamHeader& header);
 
+  /// Equivalent to WriteEncoded(EncodeBamRecord(rec)).
   Status WriteRecord(const SamRecord& rec);
+
+  /// Appends one record already in EncodeBamRecord's layout, verbatim.
+  /// Rejects a value whose u32 length prefix + 4 is not its size
+  /// (Corruption), so a mis-framed value never reaches the stream.
+  Status WriteEncoded(std::string_view encoded);
 
   /// Flushes the trailing partial block. Must be called last.
   Status Finish();

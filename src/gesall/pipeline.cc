@@ -833,10 +833,10 @@ class PartitionSink {
     Part& part = parts_[i];
     BamWriter writer(&part.bam);
     GESALL_RETURN_NOT_OK(writer.WriteHeader(header_));
+    // Every reducer value is already an EncodeBamRecord output, so it is
+    // appended verbatim (WriteEncoded checks its framing).
     for (const auto& v : values) {
-      size_t offset = 0;
-      GESALL_ASSIGN_OR_RETURN(SamRecord rec, DecodeBamRecord(v, &offset));
-      GESALL_RETURN_NOT_OK(writer.WriteRecord(rec));
+      GESALL_RETURN_NOT_OK(writer.WriteEncoded(v));
     }
     GESALL_RETURN_NOT_OK(writer.Finish());
     if (indexed_) {
@@ -905,7 +905,6 @@ JobConfig GesallPipeline::MakeJobConfig() const {
   cfg.speculative_slow_task_ms = config_.speculative_slow_task_ms;
   cfg.skip_bad_records = config_.skip_bad_records;
   cfg.compress_shuffle = config_.compress_shuffle;
-  cfg.shuffle_compress_level = config_.shuffle_compress_level;
   // Node model: MR tasks run on the same simulated cluster the DFS
   // replicates over, so "node.crash" kills both a node's replicas (on
   // the next heartbeat Tick) and its map outputs (at reduce fetch).

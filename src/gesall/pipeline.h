@@ -71,10 +71,9 @@ struct PipelineConfig {
   /// (mapreduce.map.output.compress analog), forwarded into every
   /// round's JobConfig. Merged reduce input — and thus every output —
   /// is byte-identical either way; only disk bytes and codec cpu move
-  /// (reported through SummarizeStorage).
+  /// (reported through SummarizeStorage). Runs deflate at JobConfig's
+  /// default, the fast spill level: nothing keeps them.
   bool compress_shuffle = false;
-  /// zlib level for compress_shuffle (-1 = zlib default, else 0..9).
-  int shuffle_compress_level = -1;
   /// Arm the map-side combiners of rounds 2 and 3 (Hadoop combiner
   /// analog). Combiners are output-preserving: variant calls and every
   /// per-record counter are identical either way; only map-side work

@@ -294,7 +294,9 @@ struct JobConfig {
   /// shuffle_spill_bytes_{raw,compressed} / shuffle_{com,decom}press_micros.
   bool compress_shuffle = false;
   /// zlib level of the spill codec (-1 = zlib default; 0..9 otherwise).
-  int shuffle_compress_level = -1;
+  /// Spill runs are transient (freed once reducers consume them), so the
+  /// default is the fast kBgzfSpillLevel rather than zlib's default.
+  int shuffle_compress_level = kBgzfSpillLevel;
 };
 
 /// \brief Wall-clock record of one task, for progress plots (paper Fig 7).

@@ -357,12 +357,13 @@ class ShuffleBuffer {
   /// per-64KiB-chunk CRC32C sums (the IFile checksum analog) that
   /// VerifyPartition rechecks at fetch time. With `compress` on, every
   /// sealed spill run is serialized through the BGZF codec at
-  /// `compress_level` and its arena bytes are released; `executor`
+  /// `compress_level` (the fast spill level by default: runs are
+  /// transient) and its arena bytes are released; `executor`
   /// (optional, not owned) fans the per-partition spill work out as
   /// parallel tasks when no combiner is armed.
   ShuffleBuffer(int num_partitions, int64_t sort_buffer_bytes,
                 Combiner* combiner = nullptr, bool checksum = true,
-                bool compress = false, int compress_level = kBgzfDefaultLevel,
+                bool compress = false, int compress_level = kBgzfSpillLevel,
                 Executor* executor = nullptr);
 
   ShuffleBuffer(ShuffleBuffer&&) = default;

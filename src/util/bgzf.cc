@@ -2,9 +2,11 @@
 
 #include <zlib.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
+#include "util/executor.h"
 #include "util/io.h"
 
 namespace gesall {
@@ -71,6 +73,27 @@ Result<BgzfBlockInfo> PeekBlockAt(std::string_view data, size_t file_offset) {
         std::to_string(usize) + ")");
   }
   return info;
+}
+
+// Deflates one block into `*frame`, timing the deflate into `*micros`.
+Status DeflateTimed(std::string_view raw, int level, std::string* frame,
+                    int64_t* micros) {
+  const int64_t t0 = NowMicros();
+  Result<std::string> block = BgzfCompressBlock(raw, level);
+  *micros = NowMicros() - t0;
+  GESALL_RETURN_NOT_OK(block.status());
+  *frame = block.MoveValueUnsafe();
+  return Status::OK();
+}
+
+// Charges one emitted frame of `raw_size` payload bytes to `stats`.
+void Account(size_t raw_size, const std::string& frame, int64_t micros,
+             BgzfCodecStats* stats) {
+  stats->compress_micros += micros;
+  stats->raw_bytes += static_cast<int64_t>(raw_size);
+  stats->stored_bytes += static_cast<int64_t>(frame.size());
+  ++stats->blocks;
+  if (frame.size() >= 4 && frame[3] == kMethodStored) ++stats->stored_blocks;
 }
 
 }  // namespace
@@ -215,16 +238,45 @@ Status BgzfWriter::Append(std::string_view data) {
 
 Status BgzfWriter::Flush() {
   if (pending_.empty()) return Status::OK();
-  const int64_t t0 = NowMicros();
-  GESALL_ASSIGN_OR_RETURN(std::string block,
-                          BgzfCompressBlock(pending_, level_));
-  stats_.compress_micros += NowMicros() - t0;
-  stats_.raw_bytes += static_cast<int64_t>(pending_.size());
-  stats_.stored_bytes += static_cast<int64_t>(block.size());
-  ++stats_.blocks;
-  if (block.size() >= 4 && block[3] == kMethodStored) ++stats_.stored_blocks;
+  std::string block;
+  int64_t micros = 0;
+  GESALL_RETURN_NOT_OK(DeflateTimed(pending_, level_, &block, &micros));
+  Account(pending_.size(), block, micros, &stats_);
   out_->append(block);
   pending_.clear();
+  return Status::OK();
+}
+
+Status BgzfCompress(std::string_view data, int level, Executor* executor,
+                    std::string* out, BgzfCodecStats* stats) {
+  GESALL_RETURN_NOT_OK(CheckLevel(level));
+  const size_t n = (data.size() + kBgzfBlockSize - 1) / kBgzfBlockSize;
+  std::vector<std::string> frames(n);
+  std::vector<int64_t> micros(n, 0);
+  std::vector<Status> statuses(n);
+  auto deflate = [&](size_t i) {
+    statuses[i] = DeflateTimed(data.substr(i * kBgzfBlockSize, kBgzfBlockSize),
+                               level, &frames[i], &micros[i]);
+  };
+  if (executor != nullptr && n >= kMinParallelChunks) {
+    TaskGroup group(executor);
+    for (size_t i = 0; i < n; ++i) group.Submit([&deflate, i] { deflate(i); });
+    group.Wait();
+  } else {
+    for (size_t i = 0; i < n; ++i) deflate(i);
+  }
+  for (const Status& st : statuses) GESALL_RETURN_NOT_OK(st);
+  size_t total = 0;
+  for (const std::string& frame : frames) total += frame.size();
+  out->reserve(out->size() + total);
+  for (size_t i = 0; i < n; ++i) {
+    if (stats != nullptr) {
+      const size_t raw =
+          std::min(kBgzfBlockSize, data.size() - i * kBgzfBlockSize);
+      Account(raw, frames[i], micros[i], stats);
+    }
+    out->append(frames[i]);
+  }
   return Status::OK();
 }
 

@@ -15,11 +15,17 @@
 //
 // The codec is the storage substrate for every compressed byte path:
 // DFS intermediate parts (DfsOptions::compress_parts), shuffle spill runs
-// (JobConfig::compress_shuffle), and the BAM container itself. All of
-// them share the zlib-level knob and the per-writer BgzfCodecStats that
-// feed the raw-vs-compressed disk-byte counters. Nothing is framed twice:
-// the DFS stores a payload that is already a complete BGZF chain (a BAM
-// part) verbatim, and deflates only other payloads.
+// (JobConfig::compress_shuffle), and the BAM container itself. The zlib
+// level follows how long the bytes live: bytes that are kept (DFS parts,
+// BAM) deflate at kBgzfDefaultLevel, while transient spill runs, freed
+// once reducers consume them, deflate at the fast kBgzfSpillLevel (the
+// role of Hadoop's fast intermediate codec). Every path shares the
+// BgzfCodecStats that feed the raw-vs-compressed disk-byte counters.
+// A whole buffer known up front (a DFS block) goes through BgzfCompress,
+// which deflates its 64 KiB blocks in parallel on an executor; streams
+// of records go through BgzfWriter. Nothing is framed twice: the DFS
+// stores a payload that is already a complete BGZF chain (a BAM part)
+// verbatim, and deflates only other payloads.
 
 #ifndef GESALL_UTIL_BGZF_H_
 #define GESALL_UTIL_BGZF_H_
@@ -33,15 +39,27 @@
 
 namespace gesall {
 
+class Executor;
+
 /// Maximum uncompressed payload per BGZF block (64 KiB, as in samtools).
 inline constexpr size_t kBgzfBlockSize = 64 * 1024;
 
 /// Byte size of the per-block header (magic + method + two u32 sizes).
 inline constexpr size_t kBgzfHeaderSize = 12;
 
-/// Default zlib level (Z_DEFAULT_COMPRESSION). Valid levels are -1 and
-/// 0..9; every entry point below rejects anything else.
+/// Default zlib level (Z_DEFAULT_COMPRESSION), for bytes that are kept:
+/// DFS parts and BAM. Valid levels are -1 and 0..9; every entry point
+/// below rejects anything else.
 inline constexpr int kBgzfDefaultLevel = -1;
+
+/// Fast zlib level for transient shuffle spill runs: they are freed once
+/// reducers consume them, so deflate speed matters more than ratio.
+inline constexpr int kBgzfSpillLevel = 1;
+
+/// Block counts below this compress serially in BgzfCompress (and sum
+/// serially in the DFS checksum path): the executor round trip costs
+/// more than a few block sweeps.
+inline constexpr size_t kMinParallelChunks = 4;
 
 /// \brief Header fields of one block, readable without decompressing.
 struct BgzfBlockInfo {
@@ -93,6 +111,16 @@ Result<BgzfBlockInfo> BgzfPeekBlock(std::string_view data);
 Status BgzfReadRange(std::string_view compressed, size_t offset,
                      size_t length, std::string* out,
                      int64_t* decompress_micros = nullptr);
+
+/// \brief Whole-buffer compressor: appends to `*out` exactly the bytes
+/// `BgzfWriter(out, level)` emits for `Append(data)` then `Flush()`.
+/// The 64 KiB blocks deflate as tasks on `executor` when it is non-null
+/// and there are at least kMinParallelChunks of them (TaskGroup::Wait
+/// helps, so calling from an executor worker cannot deadlock), and
+/// serially otherwise. `stats`, when non-null, accumulates as the
+/// writer's would; compress_micros is the summed per-block deflate time.
+Status BgzfCompress(std::string_view data, int level, Executor* executor,
+                    std::string* out, BgzfCodecStats* stats);
 
 /// \brief Streaming writer that packs appended bytes into BGZF blocks.
 class BgzfWriter {

@@ -4,6 +4,9 @@
 // BAM split reading composing transparently on top.
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "dfs/bam_split_reader.h"
 #include "dfs/dfs.h"
 #include "formats/bam.h"
+#include "util/executor.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 
@@ -133,6 +137,66 @@ TEST(DfsCompressionTest, IncompressibleBlocksTakeStoredFallback) {
   EXPECT_GE(stats.bytes_written_stored, stats.bytes_written_raw);
   EXPECT_LT(stats.bytes_written_stored,
             stats.bytes_written_raw + stats.bytes_written_raw / 100);
+}
+
+// Every regular file under `root` (relative path -> bytes): the durable
+// block payloads and the namespace journal, which records block ids and
+// chunk sums.
+std::map<std::string, std::string> DurableFiles(const std::string& root) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[fs::relative(entry.path(), root).string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+TEST(DfsCompressionTest, ExecutorDeflateMatchesSerialBytes) {
+  // FASTQ-like input over several DFS blocks, each many BGZF blocks, so
+  // the executor path fans out; the stored bytes, block ids and chunk
+  // sums must not depend on it.
+  Rng rng(9);
+  std::string fastq;
+  for (int i = 0; fastq.size() < 2'500'000; ++i) {
+    fastq += "@read" + std::to_string(i) + "/1\n";
+    for (int b = 0; b < 100; ++b) fastq.push_back("ACGT"[rng.Uniform(4)]);
+    fastq += "\n+\n";
+    for (int b = 0; b < 100; ++b) {
+      fastq.push_back(static_cast<char>(33 + rng.Uniform(40)));
+    }
+    fastq += "\n";
+  }
+  Executor executor(4);
+  std::map<std::string, std::string> stored[2];
+  for (int parallel = 0; parallel < 2; ++parallel) {
+    const std::string root =
+        (fs::temp_directory_path() /
+         ("gesall_dfs_executor_deflate_" + std::to_string(parallel)))
+            .string();
+    fs::remove_all(root);
+    {
+      DfsOptions o = CompressedOptions();
+      o.block_size = 1 << 20;  // 3 DFS blocks of 16 BGZF blocks each
+      o.durability.root_dir = root;
+      Dfs dfs(o);
+      if (parallel == 1) dfs.set_executor(&executor);
+      ASSERT_TRUE(dfs.Write("/input/mate1.fq", fastq).ok());
+      ASSERT_TRUE(dfs.Write("/input/small", "tiny").ok());
+      EXPECT_EQ(dfs.Read("/input/mate1.fq").ValueOrDie(), fastq);
+      auto blocks = dfs.Locate("/input/mate1.fq").ValueOrDie();
+      ASSERT_EQ(blocks.size(), 3u);
+      EXPECT_EQ(blocks[0].block_id, 1);
+      EXPECT_EQ(blocks[2].block_id, 3);
+      EXPECT_LT(dfs.stats().bytes_written_stored,
+                dfs.stats().bytes_written_raw);
+    }
+    stored[parallel] = DurableFiles(root);
+    fs::remove_all(root);
+  }
+  EXPECT_GE(stored[0].size(), 4u);  // four payload files plus the journal
+  EXPECT_EQ(stored[1], stored[0]);
 }
 
 TEST(DfsCompressionTest, EmptyFileRoundTrips) {

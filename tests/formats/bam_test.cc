@@ -131,6 +131,45 @@ TEST(BamWriterTest, RecordBeforeHeaderRejected) {
   EXPECT_TRUE(w.WriteRecord(r).IsInvalidArgument());
 }
 
+TEST(BamWriterTest, WriteEncodedMatchesWriteRecord) {
+  Rng rng(11);
+  std::vector<SamRecord> records;
+  // Enough records to cross several blocks, so the straddle rule runs.
+  for (int i = 0; i < 2000; ++i) records.push_back(MakeRecord(rng, i));
+  std::string by_record, by_encoded;
+  BamWriter a(&by_record), b(&by_encoded);
+  ASSERT_TRUE(a.WriteHeader(TestHeader()).ok());
+  ASSERT_TRUE(b.WriteHeader(TestHeader()).ok());
+  for (const SamRecord& r : records) {
+    ASSERT_TRUE(a.WriteRecord(r).ok());
+    ASSERT_TRUE(b.WriteEncoded(EncodeBamRecord(r)).ok());
+  }
+  ASSERT_TRUE(a.Finish().ok());
+  ASSERT_TRUE(b.Finish().ok());
+  EXPECT_GT(BgzfListBlocks(by_encoded).ValueOrDie().size(), 2u);
+  EXPECT_EQ(by_encoded, by_record);
+}
+
+TEST(BamWriterTest, MisFramedEncodedRecordRejected) {
+  Rng rng(12);
+  const std::string encoded = EncodeBamRecord(MakeRecord(rng, 0));
+  std::string out;
+  BamWriter w(&out);
+  ASSERT_TRUE(w.WriteHeader(TestHeader()).ok());
+  const size_t header_bytes = out.size();
+  EXPECT_TRUE(w.WriteEncoded(encoded + "x").IsCorruption());
+  EXPECT_TRUE(w.WriteEncoded(encoded.substr(0, encoded.size() - 1))
+                  .IsCorruption());
+  EXPECT_TRUE(w.WriteEncoded(encoded.substr(0, 3)).IsCorruption());
+  EXPECT_TRUE(w.WriteEncoded("").IsCorruption());
+  ASSERT_TRUE(w.WriteEncoded(encoded).ok());
+  ASSERT_TRUE(w.Finish().ok());
+  // Only the well-framed record reached the stream.
+  auto read = ReadBam(out).ValueOrDie();
+  ASSERT_EQ(read.second.size(), 1u);
+  EXPECT_GT(out.size(), header_bytes);
+}
+
 TEST(BamWriterTest, DoubleHeaderRejected) {
   std::string out;
   BamWriter w(&out);

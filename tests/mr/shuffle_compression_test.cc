@@ -127,6 +127,39 @@ TEST(ShuffleCompressionTest, DifferentialMergeByteIdentical) {
   }
 }
 
+TEST(ShuffleCompressionTest, TransientRunsDefaultToSpillLevel) {
+  // Spill runs are freed once reducers consume them, so both the engine
+  // and a bare buffer deflate them at the fast spill level by default,
+  // and the runs still decode to the uncompressed merge byte for byte.
+  EXPECT_EQ(JobConfig{}.shuffle_compress_level, kBgzfSpillLevel);
+  Rng rng(5);
+  const int64_t sort_buffer = 4096;  // several spills and a merge
+  ShuffleBuffer plain(2, sort_buffer, nullptr, true, /*compress=*/false);
+  ShuffleBuffer by_default(2, sort_buffer, nullptr, true, /*compress=*/true);
+  ShuffleBuffer spill(2, sort_buffer, nullptr, true, true, kBgzfSpillLevel);
+  ShuffleBuffer kept(2, sort_buffer, nullptr, true, true, kBgzfDefaultLevel);
+  for (int i = 0; i < 3000; ++i) {
+    std::string key = "k" + std::to_string(rng.Uniform(500));
+    std::string value = BaseValue(rng, 20 + rng.Uniform(80));
+    int p = static_cast<int>(rng.Uniform(2));
+    for (ShuffleBuffer* b : {&plain, &by_default, &spill, &kept}) {
+      ASSERT_TRUE(b->Add(p, key, value).ok());
+    }
+  }
+  for (ShuffleBuffer* b : {&plain, &by_default, &spill, &kept}) {
+    ASSERT_TRUE(b->Finish().ok());
+  }
+  for (int p = 0; p < 2; ++p) {
+    ASSERT_EQ(by_default.compressed_runs(p).size(), 1u);
+    EXPECT_EQ(by_default.compressed_runs(p)[0].bytes,
+              spill.compressed_runs(p)[0].bytes);
+    EXPECT_NE(by_default.compressed_runs(p)[0].bytes,
+              kept.compressed_runs(p)[0].bytes);
+    EXPECT_EQ(DrainCompressed(by_default, p), DrainUncompressed(plain, p));
+    EXPECT_TRUE(by_default.VerifyPartition(p).ok());
+  }
+}
+
 // Sums decimal values per key group (associative, output-preserving).
 class SumCombiner : public Combiner {
  public:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/executor.h"
 #include "util/io.h"
 #include "util/rng.h"
 
@@ -279,6 +280,56 @@ TEST(BgzfTest, RandomizedTornAndCorruptBlocksFailCleanly) {
     // The block walk itself must also fail cleanly or terminate.
     (void)BgzfListBlocks(mutated);
   }
+}
+
+// BgzfCompress must emit exactly BgzfWriter's bytes and stats, serially
+// and fanned out, for every size class around the 64 KiB block edge and
+// the kMinParallelChunks cutoff.
+TEST(BgzfTest, WholeBufferCompressMatchesWriter) {
+  Rng rng(31);
+  Executor executor(4);
+  std::string bases(3'000'000, '\0');
+  for (auto& c : bases) c = "ACGT"[rng.Uniform(4)];
+  const std::string noise = RandomBytes(rng, 5 * kBgzfBlockSize + 3);
+  std::vector<std::string_view> payloads;
+  for (size_t n : {size_t{0}, size_t{1}, kBgzfBlockSize - 1, kBgzfBlockSize,
+                   kBgzfBlockSize + 1, 4 * kBgzfBlockSize + 17,
+                   bases.size()}) {
+    payloads.push_back(std::string_view(bases).substr(0, n));
+  }
+  payloads.push_back(noise);
+  for (std::string_view data : payloads) {
+    std::string want;
+    BgzfWriter w(&want);
+    ASSERT_TRUE(w.Append(data).ok());
+    ASSERT_TRUE(w.Flush().ok());
+    for (Executor* ex : {static_cast<Executor*>(nullptr), &executor}) {
+      std::string got = "prefix";  // output is appended, not replaced
+      BgzfCodecStats stats;
+      ASSERT_TRUE(BgzfCompress(data, kBgzfDefaultLevel, ex, &got, &stats).ok());
+      EXPECT_EQ(got, "prefix" + want)
+          << data.size() << " bytes, executor " << (ex != nullptr);
+      EXPECT_EQ(stats.raw_bytes, w.stats().raw_bytes);
+      EXPECT_EQ(stats.stored_bytes, w.stats().stored_bytes);
+      EXPECT_EQ(stats.blocks, w.stats().blocks);
+      EXPECT_EQ(stats.stored_blocks, w.stats().stored_blocks);
+    }
+  }
+  // The noise payload takes the stored fallback in every block.
+  std::string stored;
+  BgzfCodecStats stats;
+  ASSERT_TRUE(BgzfCompress(noise, kBgzfDefaultLevel, &executor, &stored,
+                           &stats).ok());
+  EXPECT_EQ(stats.stored_blocks, 6);
+  EXPECT_EQ(stats.stored_blocks, stats.blocks);
+  const auto spans = BgzfListBlocks(stored).ValueOrDie();
+  for (const auto& [off, size] : spans) EXPECT_EQ(stored[off + 3], '0');
+  std::string out;
+  EXPECT_TRUE(
+      BgzfCompress("x", 42, &executor, &out, nullptr).IsInvalidArgument());
+  EXPECT_TRUE(BgzfCompress(bases, -2, &executor, &out, nullptr)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace
